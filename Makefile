@@ -13,21 +13,21 @@ verify:
 
 # Engine-comparison (40 KB java), compiled-vs-interpreter paired
 # comparison, session-residency, observability-overhead, resource-
-# governance, incremental-reparse, and telemetry-overhead benchmarks;
-# writes BENCH_9.json.
+# governance, incremental-reparse, telemetry-overhead, and value-encode
+# benchmarks; writes BENCH_13.json.
 bench:
 	sh scripts/bench.sh
 
-# Gate a bench JSON (default BENCH_9.json): expected derived rows
-# present, void-grammar steady state at exactly 0 allocs/op on both
-# engines, the java-40KB-ns-per-byte hot-path ratchet, and the
+# Gate a bench JSON (default BENCH_13.json): expected derived rows
+# present, void-grammar steady state and the value encoder at exactly
+# 0 allocs/op, the java-40KB-ns-per-byte hot-path ratchet, and the
 # compiled-engine speedup floors.
 bench-check:
 	sh scripts/bench_check.sh
 
 # Old-vs-new ns/op deltas for the Table 3 engine rows.
 bench-diff:
-	sh scripts/benchdiff.sh BENCH_6.json BENCH_9.json
+	sh scripts/benchdiff.sh BENCH_9.json BENCH_13.json
 
 # Per-production profile of the bundled Java grammar on a generated
 # 40 KB workload: hot productions, memo behaviour, engine metrics.

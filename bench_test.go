@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"modpeg/internal/ast"
 	"modpeg/internal/codegen/gencalc"
 	"modpeg/internal/codegen/genjson"
 	"modpeg/internal/core"
@@ -880,6 +881,32 @@ func BenchmarkTable9Telemetry(b *testing.B) {
 			if err := tr.Close(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// ---------------------------------------------------------------- Value encode
+//
+// The encoding rung of the parse-side ladder: the 64 KB java.core value
+// appended by ast.AppendJSON to a reused buffer, the path /parse writes
+// its response bodies through. The encoder walks the value once and
+// allocates nothing once the buffer fits, so scripts/bench_check.sh
+// holds this row at exactly 0 allocs/op, like the void canary.
+
+func BenchmarkValueEncode(b *testing.B) {
+	b.Run("java-64KB", func(b *testing.B) {
+		prog := mustProgram(b, grammars.JavaCore, transform.Defaults(), vm.Optimized())
+		input := workload.JavaProgram(workload.Config{Seed: 7, Size: 64 * 1024})
+		v, _, err := prog.Parse(text.NewSource("bench", input))
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := ast.AppendJSON(nil, v)
+		b.SetBytes(int64(len(input)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = ast.AppendJSON(buf[:0], v)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"modpeg"
+	"modpeg/internal/registry"
 	"modpeg/internal/vm"
 	"modpeg/internal/workload"
 )
@@ -531,4 +533,112 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestParseResponseIdentity pins the one-pass success body to the
+// encoder it replaced: for every shape of 200 response the body equals
+// json.NewEncoder(&buf).Encode(ParseResponse{...}) byte for byte. The
+// value and stats come from a reference parse; only duration_ns and the
+// profile, which carry timings, are taken from the body.
+func TestParseResponseIdentity(t *testing.T) {
+	reg, err := registry.New(registry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := testServer(t, Config{Grammars: []string{"calc.core", "json.value"}, Registry: reg})
+	mustUploadHTTP(t, h, "acme", "t.base", rtBase)
+	mustUploadHTTP(t, h, "acme", "t.base", rtBaseV2)
+	cases := []struct {
+		name    string
+		req     ParseRequest
+		opts    []modpeg.Option // reference parser options
+		version int             // version the response must echo
+	}{
+		{name: "static", req: ParseRequest{Grammar: "calc.core", Input: "1+2*(3-4)"}},
+		{name: "tenant", req: ParseRequest{Tenant: "acme", Grammar: "t.base", Input: "aza"},
+			opts: []modpeg.Option{modpeg.WithModules(map[string]string{"t.base": rtBaseV2})}, version: 2},
+		{name: "production", req: ParseRequest{Grammar: "calc.core", Production: "calc.core.Atom", Input: "42"},
+			opts: []modpeg.Option{modpeg.WithRoot("calc.core.Atom")}},
+		{name: "omit-value", req: ParseRequest{Grammar: "calc.core", Input: "1+2*3", OmitValue: true}},
+		{name: "profile", req: ParseRequest{Grammar: "calc.core", Input: "1+2*3", Profile: true}},
+		{name: "memo-sheds", req: ParseRequest{Grammar: "calc.core", Input: strings.Repeat("(1+2)*", 40) + "3", MaxMemoBytes: 256}},
+		{name: "escaped-text", req: ParseRequest{Grammar: "json.value", Input: "[\"<>&\x01\xe2\x80\xa8\"]"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := postParse(t, h, string(mustJSON(t, c.req)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			var got ParseResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+
+			ref, err := modpeg.New(c.req.Grammar, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lim := modpeg.Limits{MaxMemoBytes: c.req.MaxMemoBytes}
+			var hook modpeg.ParseHook
+			if c.req.Profile {
+				hook = ref.NewProfiler()
+			}
+			v, st, err := ref.ParseContextWithHook(context.Background(), "request", c.req.Input, lim, hook)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ParseResponse{
+				Grammar:    c.req.Grammar,
+				Tenant:     c.req.Tenant,
+				Version:    c.version,
+				Production: c.req.Production,
+				Stats:      statsJSON(st),
+				DurationNS: got.DurationNS,
+				Profile:    got.Profile,
+			}
+			if !c.req.OmitValue {
+				js, err := modpeg.ValueToJSONCompact(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Value = json.RawMessage(js)
+			}
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rec.Body.String(), buf.String(); got != want {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				lo := max(i-40, 0)
+				t.Fatalf("body differs from the encoder's at byte %d of %d:\n got ...%.80s\nwant ...%.80s",
+					i, len(want), got[lo:], want[lo:])
+			}
+			switch {
+			case c.req.Profile && len(got.Profile) == 0:
+				t.Error("profile missing")
+			case c.req.MaxMemoBytes > 0 && st.MemoSheds == 0:
+				t.Error("the memo budget shed nothing; the memo_sheds field went untested")
+			}
+		})
+	}
+}
+
+// TestPutBodyBounded checks the body pool's bound: a buffer that grew
+// past maxPooledBody is dropped, not pooled.
+func TestPutBodyBounded(t *testing.T) {
+	small := make([]byte, 100, maxPooledBody)
+	if !putBody(&small) {
+		t.Error("a buffer at the cap was dropped")
+	}
+	if len(small) != 0 {
+		t.Errorf("a pooled buffer keeps %d bytes, want it emptied", len(small))
+	}
+	big := make([]byte, 0, maxPooledBody+1)
+	if putBody(&big) {
+		t.Error("a buffer past the cap was pooled")
+	}
 }

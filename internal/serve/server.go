@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -23,11 +24,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"modpeg"
+	"modpeg/internal/ast"
 	"modpeg/internal/registry"
 	"modpeg/internal/telemetry"
 	"modpeg/internal/vm"
@@ -321,7 +324,9 @@ type ParseRequest struct {
 	MaxCallDepth  int `json:"max_call_depth,omitempty"`
 }
 
-// ParseResponse is the POST /parse success body.
+// ParseResponse is the POST /parse success body. The server writes it
+// with appendParseResponse, field for field in this order and byte for
+// byte as encoding/json would; a change here must be mirrored there.
 type ParseResponse struct {
 	Grammar string `json:"grammar"`
 	// Tenant and Version echo registry-backed requests; Version is the
@@ -390,10 +395,12 @@ type LocationJSON struct {
 	Offset int    `json:"offset"`
 }
 
-// writeJSON writes v compactly. Responses embed parsed ASTs, and
-// indented rendering is quadratic in their nesting depth — a 4 KB
-// deeply nested input once ballooned to a ~300 MB pretty-printed
-// response. Clients that want indentation can re-indent locally.
+// writeJSON writes v compactly: error bodies and the registry
+// responses. The /parse success body, which embeds the parsed AST, is
+// assembled by appendParseResponse in the same compact form — indented
+// rendering is quadratic in the AST's nesting depth (a 4 KB deeply
+// nested input once ballooned to a ~300 MB pretty-printed response).
+// Clients that want indentation can re-indent locally.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
@@ -553,21 +560,89 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		Stats:      statsJSON(st),
 		DurationNS: elapsed.Nanoseconds(),
 	}
-	if !req.OmitValue {
-		valueJSON, err := modpeg.ValueToJSONCompact(val)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, ErrorResponse{
-				Error: "engine", Message: "value encoding failed: " + err.Error()})
-			return
-		}
-		resp.Value = json.RawMessage(valueJSON)
-	}
 	if profiler != nil {
 		if pj, err := profiler.Profile().JSON(); err == nil {
 			resp.Profile = pj
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body := bodyPool.Get().(*[]byte)
+	*body = appendParseResponse(*body, &resp, val, req.OmitValue)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*body)
+	putBody(body)
+}
+
+// appendParseResponse appends the wire form of resp: the bytes
+// json.NewEncoder(w).Encode(resp) writes, trailing newline included,
+// with the value appended straight from val by ast.AppendJSON instead
+// of taken from resp.Value (omitValue leaves the field out, as an empty
+// resp.Value does). The profile is compacted as the encoder compacts a
+// json.RawMessage.
+func appendParseResponse(b []byte, resp *ParseResponse, val modpeg.Value, omitValue bool) []byte {
+	b = append(b, `{"grammar":`...)
+	b = ast.AppendJSONString(b, resp.Grammar)
+	if resp.Tenant != "" {
+		b = append(b, `,"tenant":`...)
+		b = ast.AppendJSONString(b, resp.Tenant)
+	}
+	if resp.Version != 0 {
+		b = appendInt(b, `,"version":`, int64(resp.Version))
+	}
+	if resp.Production != "" {
+		b = append(b, `,"production":`...)
+		b = ast.AppendJSONString(b, resp.Production)
+	}
+	if !omitValue {
+		b = append(b, `,"value":`...)
+		b = ast.AppendJSON(b, val)
+	}
+	st := &resp.Stats
+	b = appendInt(b, `,"stats":{"calls":`, int64(st.Calls))
+	b = appendInt(b, `,"dispatch_skips":`, int64(st.DispatchSkips))
+	b = appendInt(b, `,"memo_hits":`, int64(st.MemoHits))
+	b = appendInt(b, `,"memo_misses":`, int64(st.MemoMisses))
+	b = appendInt(b, `,"memo_stores":`, int64(st.MemoStores))
+	b = appendInt(b, `,"memo_bytes":`, int64(st.MemoBytes))
+	if st.MemoSheds != 0 {
+		b = appendInt(b, `,"memo_sheds":`, int64(st.MemoSheds))
+	}
+	b = appendInt(b, `,"max_pos":`, int64(st.MaxPos))
+	b = appendInt(b, `},"duration_ns":`, resp.DurationNS)
+	if len(resp.Profile) > 0 {
+		buf := bytes.NewBuffer(append(b, `,"profile":`...))
+		if err := json.Compact(buf, resp.Profile); err == nil {
+			b = buf.Bytes()
+		}
+	}
+	return append(b, "}\n"...)
+}
+
+func appendInt(b []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(b, key...), n, 10)
+}
+
+// maxPooledBody caps the response buffers bodyPool keeps. It sits
+// above the bodies of ordinary documents (a 32 KB JSON document's is
+// about 560 KB), since a body that regrows from a small buffer on every
+// request multiplies the garbage and with it the collections, and each
+// collection empties the pools. A buffer that grew past the cap (the
+// 1.9 MB body of a 64 KB adversarial expression, for one) goes to the
+// collector instead of pinning its memory in the pool.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles /parse success-body buffers; putBody returns them.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putBody returns b to bodyPool, emptied, unless it grew past
+// maxPooledBody; it reports whether b was kept.
+func putBody(b *[]byte) bool {
+	if cap(*b) > maxPooledBody {
+		return false
+	}
+	*b = (*b)[:0]
+	bodyPool.Put(b)
+	return true
 }
 
 // writeParseError maps engine errors onto HTTP statuses: syntax errors

@@ -16,7 +16,9 @@ import (
 //   - valueArena batch-allocates the semantic values a parse hands back
 //     to the caller. Carved values escape into the caller's AST, so this
 //     arena is never recycled — it only amortizes allocator round trips,
-//     one slab allocation per slab-load of values.
+//     one slab allocation per slab-load of values — and each parse
+//     starts fresh slabs (begin calls reset), so no slab is shared by
+//     two parses' trees.
 //
 // Recycling correctness rests on one invariant, maintained inductively:
 // every chunk (and row pointer) at or beyond an arena's carve point is
@@ -143,11 +145,14 @@ func (ps *Parser) memoArenaBytes() int {
 }
 
 // Value-arena slab sizes, in elements. Tokens and nodes dominate real
-// ASTs; child slices are carved from a shared backing slab.
+// ASTs; child slices are carved from a shared backing slab. A parse's
+// first slab of each kind is 1/firstSlabDiv of the full size, and each
+// further slab doubles, up to the full size.
 const (
 	tokenSlabLen = 512
 	nodeSlabLen  = 512
 	valSlabLen   = 2048
+	firstSlabDiv = 32
 )
 
 // valueArena batch-allocates semantic values. It is deliberately not
@@ -155,15 +160,38 @@ const (
 // caller's AST once the parse returns. The arena merely hands out
 // elements of slab arrays and forgets each slab as it fills, so the
 // collector reclaims a slab when the AST referencing it dies.
+//
+// reset forgets the partly carved slabs too. Without it the next parse
+// would carve from them, and a slab holding values of two parses keeps
+// the older tree alive as long as the newer one: a reused Parser would
+// chain every tree it ever built. Slabs grow geometrically within a
+// parse, so a small input does not pay for full-size slabs.
 type valueArena struct {
 	tokens []ast.Token
 	nodes  []ast.Node
 	vals   []ast.Value
+	// length of the next slab of each kind (0 = the first slab's)
+	tokenNext, nodeNext, valNext int
+}
+
+// reset drops the current slabs, so the next value carved belongs to a
+// fresh slab of the smallest size.
+func (a *valueArena) reset() { *a = valueArena{} }
+
+// slabLen returns the length for the next slab of a kind whose full
+// slab length is full, and doubles it for the slab after.
+func slabLen(next *int, full int) int {
+	n := *next
+	if n == 0 {
+		n = full / firstSlabDiv
+	}
+	*next = min(2*n, full)
+	return n
 }
 
 func (a *valueArena) newToken(txt string, sp text.Span) *ast.Token {
 	if len(a.tokens) == 0 {
-		a.tokens = make([]ast.Token, tokenSlabLen)
+		a.tokens = make([]ast.Token, slabLen(&a.tokenNext, tokenSlabLen))
 	}
 	t := &a.tokens[0]
 	a.tokens = a.tokens[1:]
@@ -174,7 +202,7 @@ func (a *valueArena) newToken(txt string, sp text.Span) *ast.Token {
 
 func (a *valueArena) newNode(name string, children []ast.Value, sp text.Span) *ast.Node {
 	if len(a.nodes) == 0 {
-		a.nodes = make([]ast.Node, nodeSlabLen)
+		a.nodes = make([]ast.Node, slabLen(&a.nodeNext, nodeSlabLen))
 	}
 	n := &a.nodes[0]
 	a.nodes = a.nodes[1:]
@@ -195,7 +223,7 @@ func (a *valueArena) carve(n int) []ast.Value {
 		if n >= valSlabLen/2 {
 			return make([]ast.Value, n)
 		}
-		a.vals = make([]ast.Value, valSlabLen)
+		a.vals = make([]ast.Value, max(slabLen(&a.valNext, valSlabLen), n))
 	}
 	out := a.vals[:n:n]
 	a.vals = a.vals[n:]

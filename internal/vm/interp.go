@@ -339,8 +339,9 @@ func (p *Program) release(ps *Parser) {
 }
 
 // begin rewinds the parser for a new input: statistics and failure state
-// are reset, the memo arenas are recycled, and the chunk-directory window
-// used by the previous parse is cleared so no stale entry survives.
+// are reset, the memo arenas are recycled, the value arena starts fresh
+// slabs, and the chunk-directory window used by the previous parse is
+// cleared so no stale entry survives.
 func (ps *Parser) begin(src *text.Source) {
 	metrics.parsesStarted.Add(1)
 	if ps.used {
@@ -370,6 +371,10 @@ func (ps *Parser) begin(src *text.Source) {
 	scratch := ps.scratch[:cap(ps.scratch)]
 	clear(scratch)
 	ps.scratch = ps.scratch[:0]
+	// Fresh value slabs: the previous parse's tree must not share one
+	// with this parse's (valueArena). Incremental reparses keep the
+	// arena, since a document's values live as long as the document.
+	ps.values.reset()
 	if !ps.prog.opts.Memoize {
 		return
 	}

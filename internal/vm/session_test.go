@@ -2,9 +2,11 @@ package vm
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"modpeg/internal/ast"
 	"modpeg/internal/text"
@@ -245,4 +247,65 @@ func TestConcurrentParseRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSessionReleasesPreviousValues pins the value arena's lifetime: a
+// reused session must not keep the trees of its earlier parses alive.
+// When one value slab held values of two parses, every tree kept its
+// predecessor reachable and a pooled parser retained every value it
+// ever built.
+func TestSessionReleasesPreviousValues(t *testing.T) {
+	for _, opts := range []Options{Optimized(), CompiledEngine()} {
+		s := build(t, calcGrammar, opts).NewSession()
+		prev := weakRoot(t, s, "1 + 2*3")
+		for k := 0; k < 4; k++ {
+			v, _, err := s.Parse(text.NewSource("in", "(1+2)*3"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			if prev.Value() != nil {
+				t.Fatalf("%+v: parse %d's value is still reachable once parse %d's is live", opts, k, k+1)
+			}
+			prev = weak.Make(v.(*ast.Node))
+			runtime.KeepAlive(v)
+		}
+	}
+}
+
+// weakRoot parses in on s and returns a weak pointer to the root node,
+// so no strong reference to the value outlives the call.
+func weakRoot(t *testing.T, s *Session, in string) weak.Pointer[ast.Node] {
+	t.Helper()
+	v, _, err := s.Parse(text.NewSource("in", in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(v.(*ast.Node))
+}
+
+// TestSmallParseValueSlabs checks that a fresh-slab parse of a tiny
+// input stays small: the value slabs start small and grow with the
+// parse instead of costing full-size slabs (about 76 KB) every time.
+func TestSmallParseValueSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
+	}
+	s := build(t, calcGrammar, Optimized()).NewSession()
+	src := text.NewSource("in", "(1 + 2) * 3 - 4 * (5 + 6 * 7) + 8 * 9 - 10 + 11 * (12 - 13) + 14")
+	if _, _, err := s.Parse(src); err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, _, err := s.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 16<<10 {
+		t.Fatalf("a %d-byte parse allocates %d bytes, want at most 16 KB", len(src.Content()), per)
+	}
 }

@@ -3,7 +3,7 @@
 # Table 5 session-residency, Table 6 observability, Table 7
 # resource-governance, Table 8 incremental-reparse, and Table 9
 # telemetry-overhead benchmarks and record the results as JSON
-# (BENCH_9.json by default; pass a path to override). Each record maps
+# (BENCH_13.json by default; pass a path to override). Each record maps
 # a benchmark name to ns/op, B/op, and allocs/op. The Table 3 rows pit
 # backtracking, naive packrat, the optimized byte-level engine, and the
 # profile-guided-inlining engine against each other on the same 40 KB
@@ -33,12 +33,15 @@
 # sampled path); its derived sampling-overhead-x1000 row is ratcheted
 # at <= 1020 (2%) by bench_check.sh, and the Table 5 sampling-off row
 # extends the zero-allocation canary to the pooled traced entry point.
+# The ValueEncode/java-64KB row times the /parse value encoder
+# (ast.AppendJSON of the 64 KB java value into a reused buffer);
+# bench_check.sh holds it at exactly 0 allocs/op.
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_9.json}"
+out="${1:-BENCH_13.json}"
 
 {
-	go test -run '^$' -bench 'BenchmarkTable3Compiled|BenchmarkTable5|BenchmarkTable6|BenchmarkTable7|BenchmarkTable8|BenchmarkTable9' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable3Compiled|BenchmarkTable5|BenchmarkTable6|BenchmarkTable7|BenchmarkTable8|BenchmarkTable9|BenchmarkValueEncode' -benchmem -benchtime 20x .
 	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB' -benchmem -benchtime 20x .
 } |
 	tee /dev/stderr |

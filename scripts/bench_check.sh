@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_check.sh — regression gate over a bench.sh JSON report
-# (BENCH_9.json by default; pass a path to override). Four checks:
+# (BENCH_13.json by default; pass a path to override). Six checks:
 #
 #   1. Every derived row bench.sh is supposed to compute must be
 #      present. A missing row means the producing benchmark silently
@@ -33,10 +33,13 @@
 #      1-in-100 sampling adds at most 2% to the end-to-end 64 KB java
 #      parse (measured ~1009; the ratio is amortized from paired
 #      same-iteration timing, see BenchmarkTable6SamplingOverhead).
+#   6. The value-encoder canary: the ValueEncode/java-64KB row (the
+#      /parse value encoder writing the 64 KB java value into a reused
+#      buffer) must exist and report exactly 0 allocs/op.
 #
 # Plain grep/sed so the gate runs anywhere a POSIX shell does.
 set -eu
-report="${1:-BENCH_9.json}"
+report="${1:-BENCH_13.json}"
 max_ns_per_byte=450
 min_compiled_speedup=1250
 min_compiled_void_speedup=2000
@@ -128,7 +131,20 @@ if [ -n "$sover" ] && [ "$sover" -gt "$max_sampling_overhead" ]; then
 	fail=1
 fi
 
+# 6. Value-encoder canary — the row must exist and be exactly 0.
+enc=$(grep -F '"BenchmarkValueEncode/java-64KB"' "$report" || true)
+enc_allocs=$(printf '%s\n' "$enc" | sed -n 's/.*"allocs_per_op": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
+if [ -z "$enc_allocs" ]; then
+	echo "bench_check: FAIL: no BenchmarkValueEncode/java-64KB row in $report" >&2
+	echo "bench_check:       (the value-encoder canary was renamed, filtered out, or did not run)" >&2
+	fail=1
+elif [ "$enc_allocs" -ne 0 ]; then
+	echo "bench_check: FAIL: the value encoder allocates ($enc_allocs allocs/op, want 0)" >&2
+	echo "bench_check:       row: $enc" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "bench_check: OK (derived rows present, void canary 0 allocs/op on every engine incl. sampling-off, java hot path ${nspb} ns/byte <= ${max_ns_per_byte}, compiled speedups ${cspeed}/${vspeed} x1000 >= ${min_compiled_speedup}/${min_compiled_void_speedup}, sampling overhead ${sover} x1000 <= ${max_sampling_overhead})"
+echo "bench_check: OK (derived rows present, void canary 0 allocs/op on every engine incl. sampling-off, value encoder 0 allocs/op, java hot path ${nspb} ns/byte <= ${max_ns_per_byte}, compiled speedups ${cspeed}/${vspeed} x1000 >= ${min_compiled_speedup}/${min_compiled_void_speedup}, sampling overhead ${sover} x1000 <= ${max_sampling_overhead})"
