@@ -166,6 +166,55 @@ func TestInterpretedEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestErrorOffsetsMatchNaive holds every lane's farthest-failure offset
+// to the naive packrat lane's. Memoization and first-set dispatch may
+// skip work but never a failure the plain evaluation would record, so a
+// control byte spliced at any offset of a small generated corpus must be
+// reported at the same byte by every engine, whatever the expectation
+// text (which names different productions under the baseline pipeline).
+func TestErrorOffsetsMatchNaive(t *testing.T) {
+	for _, top := range grammars.TopModules() {
+		top := top
+		t.Run(top, func(t *testing.T) {
+			t.Parallel()
+			lanes := lanesFor(t, top)
+			if lanes[0].name != "naive" {
+				t.Fatalf("lanes[0] = %q, want the naive reference", lanes[0].name)
+			}
+			src := corporaFor(top)[0].input
+			for at := 0; at <= len(src); at++ {
+				name := fmt.Sprintf("splice300@%d", at)
+				in := text.NewSource(name, src[:at]+"\x01"+src[at:])
+				_, _, refErr := lanes[0].prog.Parse(in)
+				for _, l := range lanes[1:] {
+					_, _, err := l.prog.Parse(in)
+					if (err == nil) != (refErr == nil) {
+						t.Fatalf("%s/%s: %s accept=%v vs naive accept=%v", top, name, l.name, err == nil, refErr == nil)
+					}
+					if err == nil {
+						continue
+					}
+					got, want := errPos(t, err), errPos(t, refErr)
+					if got != want {
+						t.Fatalf("%s/%s: %s reports offset %d, naive %d\n %s: %v\n naive: %v",
+							top, name, l.name, got, want, l.name, err, refErr)
+					}
+				}
+			}
+		})
+	}
+}
+
+// errPos returns the offset of a syntax error.
+func errPos(t *testing.T, err error) text.Pos {
+	t.Helper()
+	pe, ok := err.(*vm.ParseError)
+	if !ok {
+		t.Fatalf("error %v is %T, not a syntax error", err, err)
+	}
+	return pe.Pos
+}
+
 // TestGeneratedParsersAgree covers the fourth lane: a standalone Go
 // parser is generated for every bundled grammar, all of them are compiled
 // into one throwaway module with a manifest-driven driver, and a single

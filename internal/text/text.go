@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Pos is an absolute byte offset into a Source. The zero value is the start
@@ -100,20 +101,34 @@ func (l Location) String() string {
 type Source struct {
 	name    string
 	content string
-	lines   []Pos // byte offset of the start of each line; lines[0] == 0
+	// lines is the byte offset of the start of each line (lines[0] == 0),
+	// built by lineStarts on first use: only locations and quotes need
+	// it, and most parses report neither.
+	linesOnce sync.Once
+	lines     []Pos
 }
 
 // NewSource builds a Source from a name (typically a file path; may be
 // empty) and its full contents.
 func NewSource(name, content string) *Source {
-	s := &Source{name: name, content: content}
-	s.lines = append(s.lines, 0)
-	for i := 0; i < len(content); i++ {
-		if content[i] == '\n' {
-			s.lines = append(s.lines, Pos(i+1))
+	return &Source{name: name, content: content}
+}
+
+// lineStarts returns the line index, building it on the first call.
+func (s *Source) lineStarts() []Pos {
+	s.linesOnce.Do(func() {
+		lines := make([]Pos, 1, strings.Count(s.content, "\n")+1)
+		for at := 0; ; {
+			i := strings.IndexByte(s.content[at:], '\n')
+			if i < 0 {
+				break
+			}
+			at += i + 1
+			lines = append(lines, Pos(at))
 		}
-	}
-	return s
+		s.lines = lines
+	})
+	return s.lines
 }
 
 // Name returns the source's name, e.g. its file path.
@@ -145,7 +160,7 @@ func (s *Source) Slice(sp Span) string {
 
 // LineCount returns the number of lines in the source. An empty source has
 // one (empty) line.
-func (s *Source) LineCount() int { return len(s.lines) }
+func (s *Source) LineCount() int { return len(s.lineStarts()) }
 
 // Location converts a byte offset into file/line/column coordinates.
 // Offsets past the end of the buffer are clamped to the final position.
@@ -157,14 +172,15 @@ func (s *Source) Location(p Pos) Location {
 		p = Pos(len(s.content))
 	}
 	// Find the last line start <= p.
-	i := sort.Search(len(s.lines), func(i int) bool { return s.lines[i] > p }) - 1
+	lines := s.lineStarts()
+	i := sort.Search(len(lines), func(i int) bool { return lines[i] > p }) - 1
 	if i < 0 {
 		i = 0
 	}
 	return Location{
 		File:   s.name,
 		Line:   i + 1,
-		Column: int(p-s.lines[i]) + 1,
+		Column: int(p-lines[i]) + 1,
 		Offset: p,
 	}
 }
@@ -172,13 +188,14 @@ func (s *Source) Location(p Pos) Location {
 // Line returns the text of the 1-based line number n without its trailing
 // newline. Out-of-range line numbers yield the empty string.
 func (s *Source) Line(n int) string {
-	if n < 1 || n > len(s.lines) {
+	lines := s.lineStarts()
+	if n < 1 || n > len(lines) {
 		return ""
 	}
-	start := int(s.lines[n-1])
+	start := int(lines[n-1])
 	end := len(s.content)
-	if n < len(s.lines) {
-		end = int(s.lines[n]) - 1 // strip '\n'
+	if n < len(lines) {
+		end = int(lines[n]) - 1 // strip '\n'
 	}
 	if start > end {
 		return ""

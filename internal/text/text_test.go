@@ -2,6 +2,7 @@ package text
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +123,30 @@ func TestSourceLines(t *testing.T) {
 	}
 }
 
+// TestSourceConcurrentReaders builds the lazy line index from several
+// goroutines at once; under -race it checks that a Source stays safe
+// for concurrent readers.
+func TestSourceConcurrentReaders(t *testing.T) {
+	src := NewSource("c", strings.Repeat("line\n", 100)+"last")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if loc := src.Location(Pos(502)); loc.Line != 101 || loc.Column != 3 {
+				t.Errorf("Location(502) = %d:%d, want 101:3", loc.Line, loc.Column)
+			}
+			if n := src.LineCount(); n != 101 {
+				t.Errorf("LineCount = %d, want 101", n)
+			}
+			if l := src.Line(101); l != "last" {
+				t.Errorf("Line(101) = %q, want %q", l, "last")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestSourceSlice(t *testing.T) {
 	src := NewSource("", "hello world")
 	if got := src.Slice(Span{0, 5}); got != "hello" {
@@ -151,7 +176,7 @@ func TestLocationRoundTripProperty(t *testing.T) {
 		src := NewSource("p", content)
 		for p := 0; p <= len(content); p++ {
 			loc := src.Location(Pos(p))
-			lineStart := int(src.lines[loc.Line-1])
+			lineStart := int(src.lineStarts()[loc.Line-1])
 			if lineStart+loc.Column-1 != p {
 				return false
 			}

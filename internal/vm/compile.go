@@ -438,11 +438,16 @@ type nScanLit struct {
 // (predicates constrain, never extend, what a match may start with), and
 // it preserves failure positions: a pruned alternative could not have
 // consumed its first byte, so every failure it would have recorded sits
-// at the choice's own position.
+// at the choice's own position. The engines charge those failures to
+// the farthest-failure record as (table, mask) pairs (Parser.prune) and
+// name them by expect only when a syntax error is reported.
 type choiceTable struct {
 	masks [256]uint64
 	eof   uint64
 	all   uint64 // every alternative's bit, for skip accounting
+	// expect[i] is what alternative i expects at the choice's position
+	// (expectOf).
+	expect []string
 }
 
 type nAny struct{ void bool }
@@ -488,9 +493,12 @@ type nChoice struct {
 type nAlt struct {
 	n node
 	// dispatch data: when ok, the alternative is skippable if the next
-	// byte is not in first (and the alternative cannot match empty).
+	// byte is not in first (and the alternative cannot match empty);
+	// a skip records the failure expect names (expectOf). Choices with
+	// a table prune through it instead and leave expect empty.
 	dispatchOK bool
 	first      analysis.ByteSet
+	expect     string
 }
 
 type nRepeat struct {
@@ -631,6 +639,9 @@ func (c *compiler) compile(e peg.Expr, void bool) node {
 				if precise && !c.nullable(alt) {
 					na.dispatchOK = true
 					na.first = *set
+					if len(e.Alts) > 64 {
+						na.expect = c.expectOf(alt)
+					}
 				}
 			}
 			n.alts[i] = na
@@ -719,10 +730,11 @@ func classSet(e *peg.CharClass) analysis.ByteSet {
 // matters for the whole-production fast-fail, which turns a byte miss
 // into a definitive failure rather than a skip.
 func (c *compiler) choiceTableOf(e *peg.Choice) *choiceTable {
-	tbl := &choiceTable{}
+	tbl := &choiceTable{expect: make([]string, len(e.Alts))}
 	for i, alt := range e.Alts {
 		bit := uint64(1) << i
 		tbl.all |= bit
+		tbl.expect[i] = c.expectOf(alt)
 		if c.nullable(alt) {
 			tbl.eof |= bit
 			for b := 0; b < 256; b++ {
@@ -791,6 +803,39 @@ func (c *compiler) firstOf(e peg.Expr) (*analysis.ByteSet, bool) {
 
 func (c *compiler) nullable(e peg.Expr) bool {
 	return analysis.NullableExpr(c.analysis, e)
+}
+
+// expectOf names the failure e records when its first byte does not
+// match, as the terminal and call sites spell it: a quoted literal,
+// "character class", "any character", or the production e starts with.
+// Nullable leading items are passed over, since a first-byte miss lets
+// them match empty.
+func (c *compiler) expectOf(e peg.Expr) string {
+	switch e := e.(type) {
+	case *peg.Literal:
+		return fmt.Sprintf("%q", e.Text)
+	case *peg.CharClass:
+		return "character class"
+	case *peg.Any:
+		return "any character"
+	case *peg.NonTerm:
+		return displayNameOf(e.Name)
+	case *peg.Capture:
+		return c.expectOf(e.Expr)
+	case *peg.Repeat:
+		return c.expectOf(e.Expr)
+	case *peg.LeftRec:
+		return c.expectOf(e.Seed)
+	case *peg.Choice:
+		return c.expectOf(e.Alts[0])
+	case *peg.Seq:
+		for _, it := range e.Items {
+			if !c.nullable(it.Expr) {
+				return c.expectOf(it.Expr)
+			}
+		}
+	}
+	return "lookahead"
 }
 
 // displayNameOf strips the module qualifier for error messages.

@@ -313,6 +313,7 @@ type cAlt struct {
 	op         opFunc
 	dispatchOK bool
 	first      analysis.ByteSet
+	expect     string
 }
 
 // compileNode lowers one node into its closure. Every case mirrors the
@@ -587,6 +588,7 @@ func (cc *closureCompiler) compileNode(n node) opFunc {
 				op:         cc.compileNode(n.alts[i].n),
 				dispatchOK: n.alts[i].dispatchOK,
 				first:      n.alts[i].first,
+				expect:     n.alts[i].expect,
 			}
 			ops[i] = alts[i].op
 		}
@@ -598,14 +600,18 @@ func (cc *closureCompiler) compileNode(n node) opFunc {
 				if pos < len(ps.in) {
 					mask = tbl.masks[ps.in[pos]]
 				}
-				if skipped := mask ^ tbl.all; skipped != 0 {
+				skipped := mask ^ tbl.all
+				if skipped != 0 {
 					ps.stats.DispatchSkips += bits.OnesCount64(skipped)
 				}
 				for m := mask; m != 0; m &= m - 1 {
-					if end, val, ok := ops[bits.TrailingZeros64(m)](ps, pos); ok {
+					i := bits.TrailingZeros64(m)
+					if end, val, ok := ops[i](ps, pos); ok {
+						ps.prune(pos, tbl, skipped&(1<<i-1))
 						return end, val, true
 					}
 				}
+				ps.prune(pos, tbl, skipped)
 				return 0, nil, false
 			}
 		}
@@ -621,6 +627,7 @@ func (cc *closureCompiler) compileNode(n node) opFunc {
 					ps.note(pos + 1)
 					if !haveByte || !alt.first.Has(b) {
 						ps.stats.DispatchSkips++
+						failQuick(ps, pos, alt.expect)
 						continue
 					}
 				}
@@ -837,11 +844,14 @@ func (cc *closureCompiler) fusedTransient(info *prodInfo) opFunc {
 			if pos < len(ps.in) {
 				mask = tbl.masks[ps.in[pos]]
 			}
-			if skipped := mask ^ tbl.all; skipped != 0 {
+			skipped := mask ^ tbl.all
+			if skipped != 0 {
 				ps.stats.DispatchSkips += bits.OnesCount64(skipped)
 			}
 			for m := mask; m != 0; m &= m - 1 {
-				if end, val, ok := ops[bits.TrailingZeros64(m)](ps, pos); ok {
+				i := bits.TrailingZeros64(m)
+				if end, val, ok := ops[i](ps, pos); ok {
+					ps.prune(pos, tbl, skipped&(1<<i-1))
 					ps.depth--
 					switch kind {
 					case valText:
@@ -859,6 +869,7 @@ func (cc *closureCompiler) fusedTransient(info *prodInfo) opFunc {
 					return end, val, true
 				}
 			}
+			ps.prune(pos, tbl, skipped)
 			ps.depth--
 			failQuick(ps, pos, display)
 			return 0, nil, false

@@ -1,11 +1,14 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"modpeg/internal/ast"
+	"modpeg/internal/grammars"
 	"modpeg/internal/text"
+	"modpeg/internal/transform"
 )
 
 // The byte-level hot path (scan fusion, choice tables, PGO inlining)
@@ -165,6 +168,80 @@ Item = $("x"+) / $("y") / $("z"?) ;
 		}
 		if e := errText(prog, "q."); e == "" {
 			t.Errorf("%s: %q must fail", opts, "q.")
+		}
+	}
+}
+
+// TestPrunedChoiceKeepsFarthestFailure is the regression test for
+// pruned alternatives vanishing from the farthest-failure record. In
+// java.core, Inline folds MethodBody (Block / ";") into the method
+// declaration's choice; on the control byte after the parameter list the
+// table prunes both alternatives, and before pruned alternatives were
+// charged both engines reported the error one byte early, at ')'. The
+// naive packrat engine, which tries every alternative, is the oracle.
+func TestPrunedChoiceKeepsFarthestFailure(t *testing.T) {
+	g, err := grammars.Compose(grammars.JavaCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(topts transform.Options, opts Options) *Program {
+		tg, _, err := transform.Apply(g, topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(tg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	const in = "class A {\n  int method2(int a, int b)\x01 {\n    return a;\n  }\n}\n"
+	locate := func(prog *Program) (text.Location, string) {
+		t.Helper()
+		src := text.NewSource("input", in)
+		_, _, err := prog.Parse(src)
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Fatalf("want a ParseError, got %v", err)
+		}
+		return src.Location(pe.Pos), pe.Error()
+	}
+	want, _ := locate(mk(transform.Baseline(), NaivePackrat()))
+	if want.Line != 2 || want.Column != 28 {
+		t.Fatalf("naive packrat reports %d:%d, want 2:28 (the control byte)", want.Line, want.Column)
+	}
+	interp, interpErr := locate(mk(transform.Defaults(), Optimized()))
+	compiled, compiledErr := locate(mk(transform.Defaults(), CompiledEngine()))
+	if interp != want || compiled != want {
+		t.Fatalf("optimized reports %d:%d, compiled %d:%d, want %d:%d",
+			interp.Line, interp.Column, compiled.Line, compiled.Column, want.Line, want.Column)
+	}
+	if interpErr != compiledErr {
+		t.Fatalf("engines disagree on the error text:\n optimized: %s\n compiled:  %s", interpErr, compiledErr)
+	}
+	if !strings.Contains(interpErr, "Block") {
+		t.Fatalf("error does not name the pruned Block alternative: %s", interpErr)
+	}
+}
+
+// TestWideChoiceKeepsFarthestFailure covers choices too wide for a
+// table mask (more than 64 alternatives), whose per-alternative dispatch
+// skips record the skipped alternative's failure directly.
+func TestWideChoiceKeepsFarthestFailure(t *testing.T) {
+	var alts []string
+	for _, c := range "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789#%&" {
+		alts = append(alts, fmt.Sprintf("%q", string(c)+"!"))
+	}
+	g := "option root = S;\npublic S = A !. ;\nA = \"(\" (" + strings.Join(alts, " / ") + ") / \")\" ;\n"
+	want := 1 // the byte after "(", where every alternative fails
+	for _, opts := range []Options{NaivePackrat(), Optimized(), CompiledEngine()} {
+		_, _, err := build(t, g, opts).Parse(text.NewSource("input", "(~"))
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Fatalf("%s: want a ParseError, got %v", opts, err)
+		}
+		if int(pe.Pos) != want {
+			t.Fatalf("%s: error at %d, want %d: %v", opts, pe.Pos, want, err)
 		}
 	}
 }

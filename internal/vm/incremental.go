@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,17 +29,25 @@ import (
 //     farthest-lookahead watermark (Parser.prodLook, maintained by
 //     parseProd's examined-region framing in interp.go).
 //  2. Relocate surviving entries past an edit by the length delta. The
-//     chunked memo layout makes this a pointer remap: entries record the
+//     chunked memo layout makes this a pointer splice: entries record the
 //     length they consumed rather than an absolute end position, so
 //     moving a whole position's chunk-directory row to its shifted slot
-//     relocates every entry in it without rewriting a single row.
+//     relocates every entry in it without rewriting a single row. The
+//     directory is spliced in place, one copy per edit, last edit first.
+//     Only rows that can reach an edit are read: two side arrays hold,
+//     per position, the row's longest entry and its live-entry count, so
+//     a row whose longest entry plus the largest lookahead watermark
+//     stops short of the next edit moves without being scanned, and a
+//     row inside a damage region is dropped and charged by its count.
+//     The scan is therefore bounded by the productions enclosing the
+//     edit, not by the document.
 //  3. Reparse from the root. Everything outside the damage re-derives
 //     instantly from surviving entries (counted as Stats.MemoReused);
 //     only productions overlapping the damage are actually re-evaluated.
 //
 // Two fallbacks keep the scheme honest. When the damage region exceeds
 // incrementalDamageFraction of the document, reuse cannot pay for the
-// table scan and Apply reparses from scratch. And because invalidated
+// remap and Apply reparses from scratch. And because invalidated
 // entries' storage is only reclaimed by a full reparse (the memo arenas
 // recycle wholesale, not entry-by-entry), Apply also falls back when the
 // carved arena footprint outgrows incrementalGrowthFactor times the last
@@ -102,7 +111,8 @@ type Document struct {
 	err   error
 
 	// cumulative live-table accounting in the Stats.MemoBytes model:
-	// rows and chunks that survived plus those the last apply allocated.
+	// rows and chunks holding at least one live entry, kept by deltas as
+	// remap drops them and applies allocate them.
 	liveRows   int
 	liveChunks int
 	// arena footprint right after the last full reparse, for the growth
@@ -113,11 +123,6 @@ type Document struct {
 	// apply N carry tag N, so hits on older tags count as reuse. A wrap
 	// of the uint16 tag space forces a full reparse, which resets to 0.
 	gens uint16
-
-	// spare is the double buffer the chunk-directory remap writes into;
-	// after the swap the previous directory is cleared and becomes the
-	// next spare. Invariant: spare is fully nil between applies.
-	spare [][]*memoChunk
 }
 
 // NewDocument parses src and returns a Document holding the result and
@@ -127,7 +132,9 @@ type Document struct {
 func (p *Program) NewDocument(src *text.Source) *Document {
 	d := &Document{
 		prog: p,
-		ps:   &Parser{prog: p},
+		// Non-nil side arrays turn on the per-row accounting remap reads;
+		// begin sizes them with the directory.
+		ps:   &Parser{prog: p, rowMax: []int32{}, rowLive: []int32{}},
 		name: src.Name(),
 	}
 	d.fullParse(src)
@@ -182,7 +189,7 @@ func (d *Document) Apply(edits ...Edit) (ast.Value, Stats, error) {
 		return d.val, d.stats, d.err
 	}
 
-	invalidated, relocated := d.remap(sorted, len(newText))
+	invalidated, relocated := d.remap(sorted)
 	d.gens++
 	d.ps.gen = d.gens
 	d.ps.beginIncremental(src)
@@ -233,100 +240,143 @@ func (d *Document) fullParse(src *text.Source) {
 }
 
 // remap performs the invalidate-and-relocate pass over the chunk
-// directory: it kills entries whose examined span (match extent widened
-// by the production's lookahead watermark) crosses into a damage region,
-// drops rows inside the damage, and copies surviving rows into the spare
-// directory at their shifted positions. It returns the invalidated and
-// relocated entry counts. Row and chunk storage is not rewritten —
-// surviving entries move by pointer only.
-func (d *Document) remap(edits []Edit, newLen int) (invalidated, relocated int) {
+// directory, in place. In pre-edit coordinates it scans the rows before
+// each edit whose reach (longest entry plus the largest lookahead
+// watermark) crosses into the edit, killing the entries whose examined
+// span does, and drops the rows inside each damage region. It then
+// splices the directory and its side arrays, last edit first, so that
+// every surviving row lands at its shifted position. It returns the
+// invalidated and relocated entry counts; rows it does not scan are
+// counted from rowLive without being read.
+func (d *Document) remap(edits []Edit) (invalidated, relocated int) {
 	ps := d.ps
-	old := ps.chunks
-	newN := newLen + 1
-	if cap(d.spare) >= newN {
-		d.spare = d.spare[:newN]
-	} else {
-		d.spare = make([][]*memoChunk, newN)
+	reach := 0
+	for _, look := range ps.prodLook {
+		reach = max(reach, int(look))
 	}
-	newDir := d.spare
-
-	liveRows, liveChunks := 0, 0
-	ei, delta := 0, 0
-	for pos, row := range old {
-		for ei < len(edits) && pos >= edits[ei].Off+edits[ei].OldLen {
-			delta += edits[ei].NewLen - edits[ei].OldLen
-			ei++
-		}
-		if row == nil {
-			continue
-		}
-		if ei < len(edits) && pos >= edits[ei].Off {
-			// Inside the damage region: the row is dropped wholesale.
-			for _, chunk := range row {
-				if chunk == nil {
-					continue
-				}
-				for k := range chunk {
-					if chunk[k].state != memoEmpty {
-						invalidated++
-					}
-				}
+	start, delta := 0, 0
+	for _, e := range edits {
+		live := 0
+		for pos := start; pos < e.Off; pos++ {
+			if pos+int(ps.rowMax[pos])+reach > e.Off && ps.rowLive[pos] != 0 {
+				invalidated += d.trimRow(pos, e.Off)
 			}
-			continue
+			live += int(ps.rowLive[pos])
 		}
-		// Before the next edit (or past the last): entries survive unless
-		// their examined span reaches the upcoming damage.
-		limit := math.MaxInt
-		if ei < len(edits) {
-			limit = edits[ei].Off
-		}
-		rowLive := 0
-		for ci, chunk := range row {
-			if chunk == nil {
-				continue
-			}
-			chunkLive := 0
-			base := ci * chunkSize
-			for k := range chunk {
-				e := &chunk[k]
-				if e.state == memoEmpty {
-					continue
-				}
-				if pos+int(e.len)+int(ps.prodLook[base+k]) > limit {
-					*e = memoEntry{}
-					invalidated++
-					continue
-				}
-				chunkLive++
-			}
-			if chunkLive == 0 {
-				// Fully dead chunk: unlink it so the live-table model does
-				// not keep charging for it (its arena storage is reclaimed
-				// by the next full reparse).
-				row[ci] = nil
-				continue
-			}
-			rowLive += chunkLive
-			liveChunks++
-		}
-		if rowLive == 0 {
-			continue
-		}
-		liveRows++
-		newDir[pos+delta] = row
 		if delta != 0 {
-			relocated += rowLive
+			relocated += live
+		}
+		for pos := e.Off; pos < e.Off+e.OldLen; pos++ {
+			if ps.rowLive[pos] != 0 {
+				invalidated += int(ps.rowLive[pos])
+				d.dropRow(pos)
+			}
+		}
+		delta += e.NewLen - e.OldLen
+		start = e.Off + e.OldLen
+	}
+	if delta != 0 {
+		for _, live := range ps.rowLive[start:] {
+			relocated += int(live)
 		}
 	}
 
-	// Swap directories; the old one is cleared wholesale and becomes the
-	// next spare (Document invariant: spare is fully nil between applies).
-	ps.chunks = newDir
-	clear(old)
-	d.spare = old[:0]
-	d.liveRows = liveRows
-	d.liveChunks = liveChunks
+	// Make room for the largest length the directory passes through, then
+	// splice. Going last edit first, each splice moves only positions at
+	// or after its own edit, so the earlier edits' offsets stay valid.
+	grow, g := 0, 0
+	for i := len(edits) - 1; i >= 0; i-- {
+		g += edits[i].NewLen - edits[i].OldLen
+		grow = max(grow, g)
+	}
+	ps.chunks = slices.Grow(ps.chunks, grow)
+	ps.rowMax = slices.Grow(ps.rowMax, grow)
+	ps.rowLive = slices.Grow(ps.rowLive, grow)
+	for i := len(edits) - 1; i >= 0; i-- {
+		e := edits[i]
+		ps.chunks = splice(ps.chunks, e.Off, e.OldLen, e.NewLen)
+		ps.rowMax = splice(ps.rowMax, e.Off, e.OldLen, e.NewLen)
+		ps.rowLive = splice(ps.rowLive, e.Off, e.OldLen, e.NewLen)
+	}
 	return invalidated, relocated
+}
+
+// trimRow kills the entries of the row at pos whose examined span reaches
+// limit, unlinking chunks and the row itself once they hold no live
+// entry, and refreshes the row's side-array slots. It returns the number
+// of entries killed.
+func (d *Document) trimRow(pos, limit int) (killed int) {
+	ps := d.ps
+	row := ps.chunks[pos]
+	live, longest := 0, int32(0)
+	for ci, chunk := range row {
+		if chunk == nil {
+			continue
+		}
+		chunkLive := 0
+		base := ci * chunkSize
+		for k := range chunk {
+			e := &chunk[k]
+			if e.state == memoEmpty {
+				continue
+			}
+			if pos+int(e.len)+int(ps.prodLook[base+k]) > limit {
+				*e = memoEntry{}
+				killed++
+				continue
+			}
+			chunkLive++
+			longest = max(longest, e.len)
+		}
+		if chunkLive == 0 {
+			// Fully dead chunk: unlink it so the live-table model does not
+			// keep charging for it (its arena storage is reclaimed by the
+			// next full reparse).
+			row[ci] = nil
+			d.liveChunks--
+		}
+		live += chunkLive
+	}
+	if live == 0 {
+		d.dropRow(pos)
+		return killed
+	}
+	ps.rowMax[pos] = longest
+	ps.rowLive[pos] = int32(live)
+	return killed
+}
+
+// dropRow unlinks the row at pos, and the chunks still linked in it,
+// from the directory and the live-table accounting.
+func (d *Document) dropRow(pos int) {
+	ps := d.ps
+	for _, chunk := range ps.chunks[pos] {
+		if chunk != nil {
+			d.liveChunks--
+		}
+	}
+	d.liveRows--
+	ps.chunks[pos] = nil
+	ps.rowMax[pos] = 0
+	ps.rowLive[pos] = 0
+}
+
+// splice replaces s[off:off+oldLen] by newLen zero elements in place,
+// moving the tail; s must have the capacity for any growth. Whatever the
+// slice gives up past its new length is zeroed, so no stale element
+// survives in its spare capacity.
+func splice[T any](s []T, off, oldLen, newLen int) []T {
+	end := len(s)
+	n := end - oldLen + newLen
+	if oldLen != newLen {
+		s = s[:max(n, end)]
+		copy(s[off+newLen:], s[off+oldLen:end])
+		if n < end {
+			clear(s[n:end])
+		}
+	}
+	clear(s[off : off+newLen])
+	return s[:n]
 }
 
 // normalizeEdits validates edits against the current text, returning a
@@ -394,6 +444,7 @@ func (ps *Parser) beginIncremental(src *text.Source) {
 	ps.stats = Stats{}
 	ps.failPos = -1
 	ps.failExpected = ps.failExpected[:0]
+	ps.pruned = ps.pruned[:0]
 	ps.quiet = 0
 	ps.hook = nil
 	ps.examined = 0

@@ -290,23 +290,211 @@ func TestDocumentOtherEnginesFallBack(t *testing.T) {
 	}
 }
 
-// TestDocumentDirectoryInvariants white-boxes the double-buffer remap:
-// after every apply the live directory matches the text length and the
-// spare buffer is fully nil (the invariant the remap relies on).
+// TestDocumentDirectoryInvariants white-boxes the in-place splice: after
+// every apply the directory window is exactly the text plus its EOF
+// position, nothing stale survives in its spare capacity, the side
+// arrays run parallel to it, and each row's live count and longest entry
+// describe the row (a nil row has count 0, a row with count 0 is nil).
 func TestDocumentDirectoryInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	d := newCalcDocument(t, Optimized(), calcInput(r, 512))
+	check := func(label string) {
+		t.Helper()
+		ps := d.ps
+		if got, want := len(ps.chunks), len(d.Text())+1; got != want {
+			t.Fatalf("%s: directory window %d, want %d", label, got, want)
+		}
+		if len(ps.rowMax) != len(ps.chunks) || len(ps.rowLive) != len(ps.chunks) {
+			t.Fatalf("%s: side arrays %d/%d, directory %d", label,
+				len(ps.rowMax), len(ps.rowLive), len(ps.chunks))
+		}
+		for j, row := range ps.chunks[len(ps.chunks):cap(ps.chunks)] {
+			if row != nil {
+				t.Fatalf("%s: stale row %d past the window", label, len(ps.chunks)+j)
+			}
+		}
+		for _, side := range [][]int32{ps.rowMax, ps.rowLive} {
+			for j, v := range side[len(side):cap(side)] {
+				if v != 0 {
+					t.Fatalf("%s: stale side-array slot %d past the window", label, len(side)+j)
+				}
+			}
+		}
+		rows, chunks := 0, 0
+		for pos, row := range ps.chunks {
+			live, longest := 0, int32(0)
+			for _, chunk := range row {
+				if chunk == nil {
+					continue
+				}
+				chunkLive := 0
+				for _, e := range chunk {
+					if e.state != memoEmpty {
+						chunkLive++
+						longest = max(longest, e.len)
+					}
+				}
+				if chunkLive == 0 {
+					t.Fatalf("%s: row %d links an empty chunk", label, pos)
+				}
+				live += chunkLive
+				chunks++
+			}
+			if (row == nil) != (ps.rowLive[pos] == 0) || int(ps.rowLive[pos]) != live {
+				t.Fatalf("%s: row %d has %d live entries (nil=%v), rowLive says %d",
+					label, pos, live, row == nil, ps.rowLive[pos])
+			}
+			if ps.rowMax[pos] < longest || (row == nil && ps.rowMax[pos] != 0) {
+				t.Fatalf("%s: row %d rowMax %d, longest entry %d", label, pos, ps.rowMax[pos], longest)
+			}
+			if row != nil {
+				rows++
+			}
+		}
+		if rows != d.liveRows || chunks != d.liveChunks {
+			t.Fatalf("%s: live rows/chunks %d/%d, document counts %d/%d",
+				label, rows, chunks, d.liveRows, d.liveChunks)
+		}
+	}
+	check("initial parse")
 	for i := 0; i < 40; i++ {
 		applyRandomEdit(t, r, d)
-		if got, want := len(d.ps.chunks), len(d.Text())+1; got != want {
-			t.Fatalf("apply %d: directory window %d, want %d", i, got, want)
+		check(fmt.Sprintf("apply %d", i))
+	}
+}
+
+// referenceRemapCounts is the full-scan remap the splice replaced, kept
+// as the oracle for its counters: it reads every entry of every row and
+// reports, without changing anything, how many entries the edits
+// invalidate, how many survivors shift, and how many rows and chunks
+// keep a live entry.
+func referenceRemapCounts(d *Document, edits []Edit) (invalidated, relocated, liveRows, liveChunks int) {
+	ps := d.ps
+	ei, delta := 0, 0
+	for pos, row := range ps.chunks {
+		for ei < len(edits) && pos >= edits[ei].Off+edits[ei].OldLen {
+			delta += edits[ei].NewLen - edits[ei].OldLen
+			ei++
 		}
-		for j, row := range d.spare[:cap(d.spare)] {
-			if row != nil {
-				t.Fatalf("apply %d: spare[%d] not nil after swap", i, j)
+		if row == nil {
+			continue
+		}
+		inside := ei < len(edits) && pos >= edits[ei].Off
+		limit := math.MaxInt
+		if ei < len(edits) {
+			limit = edits[ei].Off
+		}
+		rowLive := 0
+		for ci, chunk := range row {
+			if chunk == nil {
+				continue
+			}
+			chunkLive := 0
+			for k, e := range chunk {
+				if e.state == memoEmpty {
+					continue
+				}
+				if inside || pos+int(e.len)+int(ps.prodLook[ci*chunkSize+k]) > limit {
+					invalidated++
+					continue
+				}
+				chunkLive++
+			}
+			if chunkLive > 0 {
+				liveChunks++
+			}
+			rowLive += chunkLive
+		}
+		if rowLive == 0 {
+			continue
+		}
+		liveRows++
+		if delta != 0 {
+			relocated += rowLive
+		}
+	}
+	return invalidated, relocated, liveRows, liveChunks
+}
+
+// TestDocumentCountersMatchFullScan holds the splice's counters to the
+// full-scan reference over random single and batched edits:
+// MemoInvalidated and MemoRelocated must count the same entries, and
+// MemoBytes must charge the same live table plus what the apply stored.
+func TestDocumentCountersMatchFullScan(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(300 + seed))
+		d := newCalcDocument(t, Optimized(), calcInput(r, 1024+r.Intn(2048)))
+		for step := 0; step < 60; step++ {
+			// One to three non-overlapping edits, drawn left to right and
+			// passed in shuffled order.
+			var edits []Edit
+			for at, n := 0, 1+r.Intn(3); n > 0; n-- {
+				e, ok := wellFormedEdit(r, d.Text(), at)
+				if !ok {
+					break
+				}
+				edits = append(edits, e)
+				at = e.Off + e.OldLen
+			}
+			r.Shuffle(len(edits), func(i, j int) { edits[i], edits[j] = edits[j], edits[i] })
+			sorted, _, err := normalizeEdits(d.Text(), edits)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			inv, rel, rows, chunks := referenceRemapCounts(d, sorted)
+			gens := d.gens
+			_, stats, _ := d.Apply(edits...)
+			checkAgainstScratch(t, d, fmt.Sprintf("seed %d step %d", seed, step))
+			if d.gens != gens+1 {
+				// Well-formed small edits never need the full-reparse
+				// fallback; taking it would hide a wrong remap behind a
+				// correct from-scratch result.
+				t.Fatalf("seed %d step %d edits %+v: Apply fell back to a full reparse", seed, step, sorted)
+			}
+			wantBytes := (chunks+stats.ChunksAllocated)*chunkSize*memoEntrySize +
+				(rows+stats.ChunkRows)*d.ps.chunkCount*8
+			if stats.MemoInvalidated != inv || stats.MemoRelocated != rel || stats.MemoBytes != wantBytes {
+				t.Fatalf("seed %d step %d edits %+v: invalidated/relocated/bytes %d/%d/%d, full scan %d/%d/%d",
+					seed, step, sorted, stats.MemoInvalidated, stats.MemoRelocated, stats.MemoBytes,
+					inv, rel, wantBytes)
 			}
 		}
 	}
+}
+
+// wellFormedEdit draws an edit within 400 bytes after offset at that
+// keeps a calc expression well formed. At a digit it inserts digits or a
+// "N+" term, replaces the digit, or deletes it when a digit follows; at
+// a binary operator it inserts a "*N " factor, which the entries ending
+// just before the operator (and peeking at it) must not survive. ok is
+// false when no such position is left.
+func wellFormedEdit(r *rand.Rand, txt string, at int) (e Edit, ok bool) {
+	var cands []int
+	for p := at; p < len(txt) && p < at+400; p++ {
+		if c := txt[p]; c >= '0' && c <= '9' || c == '+' || c == '-' || c == '*' {
+			cands = append(cands, p)
+		}
+	}
+	if len(cands) == 0 {
+		return Edit{}, false
+	}
+	p := cands[r.Intn(len(cands))]
+	digit := string(rune('0' + r.Intn(10)))
+	if c := txt[p]; c < '0' || c > '9' {
+		return Edit{Off: p, NewLen: 3, Text: "*" + digit + " "}, true
+	}
+	switch r.Intn(4) {
+	case 0:
+		ins := strings.Repeat(digit, 1+r.Intn(3))
+		return Edit{Off: p, NewLen: len(ins), Text: ins}, true
+	case 1:
+		return Edit{Off: p, NewLen: 2, Text: digit + "+"}, true
+	case 2:
+		if p+1 < len(txt) && txt[p+1] >= '0' && txt[p+1] <= '9' {
+			return Edit{Off: p, OldLen: 1}, true
+		}
+	}
+	return Edit{Off: p, OldLen: 1, NewLen: 1, Text: digit}, true
 }
 
 // applyRandomEdit performs one random insert/delete/replace drawn from

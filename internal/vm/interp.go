@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -42,7 +43,7 @@ type Stats struct {
 	// earlier parse of the document; MemoInvalidated counts entries killed
 	// because their examined span overlapped an edit's damage region (after
 	// lookahead widening); MemoRelocated counts surviving entries shifted
-	// past an edit by remapping the chunk directory. All three are zero for
+	// past an edit by splicing the chunk directory. All three are zero for
 	// ordinary from-scratch parses.
 	MemoReused      int
 	MemoInvalidated int
@@ -114,7 +115,7 @@ func (e *ParseError) Detail() string {
 // stored failures and successes. len is the number of bytes the stored
 // success consumed — a length rather than an absolute end position, so an
 // entry stays valid when incremental reparsing relocates it to a shifted
-// position by remapping the chunk directory (incremental.go): the row
+// position by splicing the chunk directory (incremental.go): the row
 // pointers move, the rows never need rewriting. gen tags the entry with
 // the document generation that stored it; a memo hit on an entry from an
 // earlier generation is a reuse of recycled state (Stats.MemoReused).
@@ -177,6 +178,14 @@ type Parser struct {
 	// chunks live in the session arenas.
 	chunks     [][]*memoChunk
 	chunkCount int // chunks per position: ceil(memoCols / chunkSize)
+	// rowMax and rowLive parallel the chunk directory for a Document's
+	// parser: per position, the longest entry stored in the row and the
+	// number of live entries (0 exactly when the row is nil). They let an
+	// incremental remap skip rows that cannot reach an edit without
+	// reading them (incremental.go). Nil for pooled parsers and sessions,
+	// which pay one nil check in memoStore.
+	rowMax  []int32
+	rowLive []int32
 	// map memo keyed by position*memoCols + column (cleared, not
 	// reallocated, between parses).
 	memoMap map[int64]memoEntry
@@ -217,6 +226,12 @@ type Parser struct {
 	// parser.
 	failPos      int
 	failExpected []string
+	// pruned holds the choice alternatives first-set tables skipped at
+	// failPos, where a plain evaluation would have tried them and failed
+	// (prune). They are kept as (table, mask) pairs and named only by
+	// syntaxError: successful parses run at the failure frontier, so
+	// recording strings per skip would tax every parse.
+	pruned []prunedAlts
 	// suppress failure recording inside predicates (their failures are
 	// expected behaviour).
 	quiet int
@@ -268,6 +283,13 @@ type Parser struct {
 
 // maxExpected caps the recorded expectation set.
 const maxExpected = 16
+
+// prunedAlts is one deferred failure record: the alternatives in mask of
+// a choice table, skipped at the farthest failure position.
+type prunedAlts struct {
+	tbl  *choiceTable
+	mask uint64
+}
 
 // Parse runs the program over src, requiring the root production to match
 // and to consume the whole input. It returns the semantic value and the
@@ -353,6 +375,7 @@ func (ps *Parser) begin(src *text.Source) {
 	ps.stats = Stats{}
 	ps.failPos = -1
 	ps.failExpected = ps.failExpected[:0]
+	ps.pruned = ps.pruned[:0]
 	ps.quiet = 0
 	ps.hook = nil
 	if ps.sampler != nil {
@@ -394,12 +417,11 @@ func (ps *Parser) begin(src *text.Source) {
 		ps.rowArena.reset()
 		// len(ps.chunks) is exactly the previous parse's window; clearing
 		// it removes every row pointer that parse installed.
-		clear(ps.chunks)
 		n := len(ps.in) + 1
-		if cap(ps.chunks) >= n {
-			ps.chunks = ps.chunks[:n]
-		} else {
-			ps.chunks = make([][]*memoChunk, n)
+		ps.chunks = resetWindow(ps.chunks, n)
+		if ps.rowLive != nil {
+			ps.rowMax = resetWindow(ps.rowMax, n)
+			ps.rowLive = resetWindow(ps.rowLive, n)
 		}
 	} else {
 		if ps.memoMap == nil {
@@ -407,6 +429,17 @@ func (ps *Parser) begin(src *text.Source) {
 		}
 		clear(ps.memoMap)
 	}
+}
+
+// resetWindow zeroes s and returns it resized to n. Everything past a
+// window's length is zero already (whoever shrinks a window clears what
+// it gives up), so reslicing into spare capacity exposes no stale value.
+func resetWindow[T any](s []T, n int) []T {
+	clear(s)
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // enterRoot starts the root production, selecting the execution
@@ -432,6 +465,7 @@ func (ps *Parser) run() (val ast.Value, err error) {
 		if end > ps.failPos {
 			ps.failPos = end
 			ps.failExpected = append(ps.failExpected[:0], "end of input")
+			ps.pruned = ps.pruned[:0]
 		}
 		return nil, ps.syntaxError()
 	}
@@ -514,6 +548,13 @@ func (ps *Parser) syntaxError() error {
 		pos = 0
 	}
 	expected := append([]string(nil), ps.failExpected...)
+	for _, p := range ps.pruned {
+		for m := p.mask; m != 0 && len(expected) < maxExpected; m &= m - 1 {
+			if what := p.tbl.expect[bits.TrailingZeros64(m)]; !slices.Contains(expected, what) {
+				expected = append(expected, what)
+			}
+		}
+	}
 	sort.Strings(expected)
 	if len(expected) > 8 {
 		expected = expected[:8]
@@ -550,6 +591,7 @@ func (ps *Parser) fail(pos int, what string) {
 	if pos > ps.failPos {
 		ps.failPos = pos
 		ps.failExpected = ps.failExpected[:0]
+		ps.pruned = ps.pruned[:0]
 	}
 	if len(ps.failExpected) >= maxExpected {
 		return
@@ -560,6 +602,39 @@ func (ps *Parser) fail(pos int, what string) {
 		}
 	}
 	ps.failExpected = append(ps.failExpected, what)
+}
+
+// prune charges the failures of the alternatives in mask, which tbl's
+// choice skipped at pos, to the farthest-failure record, as a plain
+// evaluation trying and failing them there would. Callers pass only the
+// alternatives ordered before the one that matched (all skipped ones when
+// none did). Like fail, it records nothing inside predicates or behind
+// the farthest failure; that check is all most calls cost.
+func (ps *Parser) prune(pos int, tbl *choiceTable, mask uint64) {
+	if mask != 0 && pos >= ps.failPos && ps.quiet == 0 {
+		ps.recordPruned(pos, tbl, mask)
+	}
+}
+
+// recordPruned is prune's slow path, kept out of line so the frontier
+// check inlines into every choice.
+//
+//go:noinline
+func (ps *Parser) recordPruned(pos int, tbl *choiceTable, mask uint64) {
+	if pos > ps.failPos {
+		ps.failPos = pos
+		ps.failExpected = ps.failExpected[:0]
+		ps.pruned = ps.pruned[:0]
+	}
+	for i := range ps.pruned {
+		if ps.pruned[i].tbl == tbl {
+			ps.pruned[i].mask |= mask
+			return
+		}
+	}
+	if len(ps.pruned) < maxExpected {
+		ps.pruned = append(ps.pruned, prunedAlts{tbl, mask})
+	}
 }
 
 // parseProd invokes production prod at pos, consulting the memo table.
@@ -690,31 +765,44 @@ func (ps *Parser) memoLoad(pos, col int) (memoEntry, bool) {
 }
 
 // memoStore records e for (pos, col) and reports whether it was stored.
-// The chunk-allocation edges — a new directory row or a new chunk, and
-// every map insert — are where the memo table grows, so they charge the
-// memo budget and carry the governance poll; a budget hit sheds
-// memoization and drops the entry.
+// The chunk-allocation edges — a new chunk, with its directory row when
+// the position has none yet, and every map insert — are where the memo
+// table grows, so they charge the memo budget and carry the governance
+// poll; a budget hit sheds memoization and drops the entry. A row and its
+// first chunk are charged together, so a refused chunk never leaves an
+// empty row behind.
 func (ps *Parser) memoStore(pos, col int, e memoEntry) bool {
 	if ps.chunks != nil {
 		row := ps.chunks[pos]
-		if row == nil {
-			if !ps.chargeMemo(ps.chunkCount*8, pos) {
+		var chunk *memoChunk
+		if row != nil {
+			chunk = row[col/chunkSize]
+		}
+		if chunk == nil {
+			bytes := chunkSize * memoEntrySize
+			if row == nil {
+				bytes += ps.chunkCount * 8
+			}
+			if !ps.chargeMemo(bytes, pos) {
 				return false
 			}
-			row = ps.rowArena.alloc(ps.chunkCount)
-			ps.chunks[pos] = row
-			ps.stats.ChunkRows++
-		}
-		chunk := row[col/chunkSize]
-		if chunk == nil {
-			if !ps.chargeMemo(chunkSize*memoEntrySize, pos) {
-				return false
+			if row == nil {
+				row = ps.rowArena.alloc(ps.chunkCount)
+				ps.chunks[pos] = row
+				ps.stats.ChunkRows++
 			}
 			chunk = ps.chunkArena.alloc()
 			row[col/chunkSize] = chunk
 			ps.stats.ChunksAllocated++
 		}
-		chunk[col%chunkSize] = e
+		slot := &chunk[col%chunkSize]
+		if ps.rowLive != nil {
+			if slot.state == memoEmpty {
+				ps.rowLive[pos]++
+			}
+			ps.rowMax[pos] = max(ps.rowMax[pos], e.len)
+		}
+		*slot = e
 		return true
 	}
 	if !ps.chargeMemo(mapEntryBytes, pos) {
@@ -899,15 +987,18 @@ func (ps *Parser) eval(n node, pos int) (int, ast.Value, bool) {
 			if pos < len(ps.in) {
 				mask = n.tbl.masks[ps.in[pos]]
 			}
-			if skipped := mask ^ n.tbl.all; skipped != 0 {
+			skipped := mask ^ n.tbl.all
+			if skipped != 0 {
 				ps.stats.DispatchSkips += bits.OnesCount64(skipped)
 			}
 			for m := mask; m != 0; m &= m - 1 {
-				alt := &n.alts[bits.TrailingZeros64(m)]
-				if end, val, ok := ps.eval(alt.n, pos); ok {
+				i := bits.TrailingZeros64(m)
+				if end, val, ok := ps.eval(n.alts[i].n, pos); ok {
+					ps.prune(pos, n.tbl, skipped&(1<<i-1))
 					return end, val, true
 				}
 			}
+			ps.prune(pos, n.tbl, skipped)
 			return 0, nil, false
 		}
 		var b byte
@@ -921,6 +1012,7 @@ func (ps *Parser) eval(n node, pos int) (int, ast.Value, bool) {
 				ps.note(pos + 1)
 				if !haveByte || !alt.first.Has(b) {
 					ps.stats.DispatchSkips++
+					ps.fail(pos, alt.expect)
 					continue
 				}
 			}

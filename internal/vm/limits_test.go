@@ -220,6 +220,25 @@ func TestMemoSheddingMapMemo(t *testing.T) {
 	}
 }
 
+// TestMemoBudgetLeavesNoEmptyRow pins the row/chunk charging edge: a
+// budget that can pay for a position's directory row but not for its
+// first chunk must shed without installing the row, so every row in
+// the table holds an entry (the invariant Document's row accounting
+// relies on).
+func TestMemoBudgetLeavesNoEmptyRow(t *testing.T) {
+	prog := build(t, calcGrammar, Optimized())
+	chunkCount := (prog.memoCols + chunkSize - 1) / chunkSize
+	budget := chunkCount*8 + chunkSize*memoEntrySize - 1
+	_, stats, err := prog.ParseContext(context.Background(),
+		text.NewSource("in", "(1+2)*3-4"), Limits{MaxMemoBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MemoSheds != 1 || stats.ChunkRows != 0 || stats.ChunksAllocated != 0 {
+		t.Fatalf("budget %d: stats = %+v, want one shed and no row or chunk", budget, stats)
+	}
+}
+
 func TestStrictMemoLimit(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	input := strings.Repeat("(1+2)*3-4+", 400) + "6"

@@ -534,8 +534,9 @@ type Edit = vm.Edit
 // Document owns a source text and the memo state of its last parse, and
 // reparses incrementally as the text is edited: after a small edit, memo
 // entries untouched by the damage are reused (entries past the edit are
-// relocated by remapping the memo chunk directory, not rewritten), so a
-// reparse costs in proportion to the edit rather than the document. The
+// relocated by splicing the memo chunk directory in place, not
+// rewritten, and only the entries that can reach the edit are read), so
+// a reparse costs in proportion to the edit rather than the document. The
 // results are indistinguishable from a from-scratch parse of the current
 // text — values compare equal and errors are reported identically (a
 // failed incremental pass is re-reported from a full reparse) — except

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_check.sh — regression gate over a bench.sh JSON report
-# (BENCH_13.json by default; pass a path to override). Six checks:
+# (BENCH_16.json by default; pass a path to override). Seven checks:
 #
 #   1. Every derived row bench.sh is supposed to compute must be
 #      present. A missing row means the producing benchmark silently
@@ -36,14 +36,21 @@
 #   6. The value-encoder canary: the ValueEncode/java-64KB row (the
 #      /parse value encoder writing the 64 KB java value into a reused
 #      buffer) must exist and report exactly 0 allocs/op.
+#   7. The incremental-reparse floor: derived/incremental-speedup-x1000
+#      (a full reparse of the 64 KB java corpus over the Document.Apply
+#      of the same one-line edit) must stay at or above 18000. That is
+#      the 18.1x BENCH_4.json measured before Apply's fixed cost grew
+#      with the document (8.4x in BENCH_13.json); reading only the memo
+#      rows an edit can reach measures ~40-70x.
 #
 # Plain grep/sed so the gate runs anywhere a POSIX shell does.
 set -eu
-report="${1:-BENCH_13.json}"
+report="${1:-BENCH_16.json}"
 max_ns_per_byte=450
 min_compiled_speedup=1250
 min_compiled_void_speedup=2000
 max_sampling_overhead=1020
+min_incremental_speedup=18000
 
 if [ ! -f "$report" ]; then
 	echo "bench_check: report $report not found (run scripts/bench.sh first)" >&2
@@ -144,7 +151,14 @@ elif [ "$enc_allocs" -ne 0 ]; then
 	fail=1
 fi
 
+# 7. Incremental-reparse floor (a minimum, scaled x1000).
+ispeed=$(row_ns derived/incremental-speedup-x1000)
+if [ -n "$ispeed" ] && [ "$ispeed" -lt "$min_incremental_speedup" ]; then
+	echo "bench_check: FAIL: incremental 64KB one-line reparse at ${ispeed}/1000 x over a full reparse, floor is ${min_incremental_speedup} (BENCH_4: 18.1x)" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "bench_check: OK (derived rows present, void canary 0 allocs/op on every engine incl. sampling-off, value encoder 0 allocs/op, java hot path ${nspb} ns/byte <= ${max_ns_per_byte}, compiled speedups ${cspeed}/${vspeed} x1000 >= ${min_compiled_speedup}/${min_compiled_void_speedup}, sampling overhead ${sover} x1000 <= ${max_sampling_overhead})"
+echo "bench_check: OK (derived rows present, void canary 0 allocs/op on every engine incl. sampling-off, value encoder 0 allocs/op, java hot path ${nspb} ns/byte <= ${max_ns_per_byte}, compiled speedups ${cspeed}/${vspeed} x1000 >= ${min_compiled_speedup}/${min_compiled_void_speedup}, sampling overhead ${sover} x1000 <= ${max_sampling_overhead}, incremental speedup ${ispeed} x1000 >= ${min_incremental_speedup})"
