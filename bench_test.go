@@ -345,6 +345,29 @@ func BenchmarkTable4Composition(b *testing.B) {
 			}
 		}
 	})
+	// The build half of a registry upload: the optimizer pipeline plus
+	// the engine compile, on the already composed grammar.
+	g, err := grammars.Compose(grammars.JavaCore)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range []struct {
+		name string
+		opts vm.Options
+	}{{"optimized", vm.Optimized()}, {"compiled", vm.CompiledEngine()}} {
+		b.Run("build/java.core/"+e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tg, _, err := transform.Apply(g, transform.Defaults())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := vm.Compile(tg, e.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---------------------------------------------------------------- Fig. 1

@@ -8,9 +8,13 @@
 //   - first-byte sets for terminal dispatch,
 //   - a cost model for inlining decisions.
 //
-// Analyze computes everything in one pass object; Check turns the
-// properties into the errors the paper's system reports at generation time
-// (left recursion that cannot be transformed, repetition of nullable
+// Analyze interns production names to dense IDs and computes everything
+// over them in time linear in the grammar: one walk per production body
+// collects its call edges, one strongly-connected-component pass per call
+// graph finds recursion, and one worklist over the reversed call edges
+// reaches the nullability, valuedness and first-set fixpoint. Check turns
+// the properties into the errors the paper's system reports at generation
+// time (left recursion that cannot be transformed, repetition of nullable
 // expressions, unreachable or missing productions).
 package analysis
 
@@ -59,48 +63,295 @@ type Analysis struct {
 	// never valued produces nil rather than an empty list, and the
 	// property must not change under inlining.
 	Valued map[string]bool
+
+	// The dense form the properties are computed in. A production's ID
+	// is its index in Grammar.Order; a name that is referenced (or is the
+	// root) but not defined gets an ID past the end, and no body. The
+	// slices are indexed by ID.
+	ids      map[string]int
+	names    []string
+	calls    [][]int // every reference site of the body, in walk order
+	left     [][]int // the references callable before input is consumed
+	nullable []bool
+	valued   []bool
+	first    []ByteSet
+	precise  []bool
 }
 
 // Analyze computes all properties of g.
 func Analyze(g *peg.Grammar) *Analysis {
-	a := &Analysis{
-		Grammar:       g,
-		Nullable:      map[string]bool{},
-		Reachable:     map[string]bool{},
-		RefCount:      map[string]int{},
-		Recursive:     map[string]bool{},
-		LeftRecursive: map[string]bool{},
-		DirectLeftRec: map[string]bool{},
-		Cost:          map[string]int{},
-		First:         map[string]*ByteSet{},
-		FirstPrecise:  map[string]bool{},
-		Valued:        map[string]bool{},
+	a := index(g)
+	comp, order := sccs(a.calls)
+	a.computeFacts(order)
+	a.left = make([][]int, len(a.names))
+	for v, name := range g.Order {
+		a.left[v] = a.leftCalls(g.Prods[name].Choice, nil)
 	}
-	a.computeNullable()
-	a.computeValued()
-	a.computeReachable()
-	a.computeRefCounts()
-	a.computeRecursion()
-	a.computeDirectLeftRec()
-	a.computeCosts()
-	a.computeFirstSets()
+	leftComp, _ := sccs(a.left)
+	reach := a.reach()
+	refs := make([]int, len(a.names))
+	if g.Root != "" {
+		refs[a.ids[g.Root]]++
+	}
+	for v := range g.Order {
+		if reach[v] {
+			for _, w := range a.calls[v] {
+				refs[w]++
+			}
+		}
+	}
+
+	n := len(g.Order)
+	a.Nullable, a.Valued = map[string]bool{}, make(map[string]bool, n)
+	a.Reachable, a.RefCount = make(map[string]bool, n), make(map[string]int, n)
+	a.Recursive, a.LeftRecursive, a.DirectLeftRec = map[string]bool{}, map[string]bool{}, map[string]bool{}
+	a.Cost, a.First, a.FirstPrecise = make(map[string]int, n), make(map[string]*ByteSet, n), make(map[string]bool, n)
+	for v, name := range a.names {
+		setIf(a.Reachable, name, reach[v])
+		if refs[v] > 0 {
+			a.RefCount[name] = refs[v]
+		}
+		if v >= n {
+			continue
+		}
+		p := g.Prods[name]
+		setIf(a.Nullable, name, a.nullable[v])
+		setIf(a.Valued, name, a.valued[v])
+		setIf(a.Recursive, name, selfReaching(a.calls[v], comp, v))
+		setIf(a.LeftRecursive, name, selfReaching(a.left[v], leftComp, v))
+		setIf(a.DirectLeftRec, name, directLeftRec(name, p.Choice))
+		a.Cost[name] = ExprCost(p.Choice)
+		a.First[name] = &a.first[v]
+		a.FirstPrecise[name] = a.precise[v]
+	}
 	return a
 }
 
-// ---------------------------------------------------------------- nullable
+func setIf(m map[string]bool, name string, v bool) {
+	if v {
+		m[name] = true
+	}
+}
 
-func (a *Analysis) computeNullable() {
-	changed := true
-	for changed {
-		changed = false
-		for _, name := range a.Grammar.Order {
-			p := a.Grammar.Prods[name]
-			if a.Nullable[name] {
-				continue
+// index interns g's production names and collects every body's reference
+// sites: the part of the analysis every property needs.
+func index(g *peg.Grammar) *Analysis {
+	a := &Analysis{Grammar: g, ids: make(map[string]int, len(g.Order)), names: append([]string(nil), g.Order...)}
+	for v, name := range g.Order {
+		a.ids[name] = v
+	}
+	intern := func(name string) int {
+		v, ok := a.ids[name]
+		if !ok {
+			v = len(a.names)
+			a.ids[name] = v
+			a.names = append(a.names, name)
+		}
+		return v
+	}
+	a.calls = make([][]int, len(g.Order))
+	for v, name := range g.Order {
+		peg.Walk(g.Prods[name].Choice, func(e peg.Expr) {
+			if nt, ok := e.(*peg.NonTerm); ok {
+				a.calls[v] = append(a.calls[v], intern(nt.Name))
 			}
-			if p.Choice != nil && a.exprNullable(p.Choice) {
-				a.Nullable[name] = true
-				changed = true
+		})
+	}
+	if g.Root != "" {
+		intern(g.Root)
+	}
+	a.calls = append(a.calls, make([][]int, len(a.names)-len(a.calls))...)
+	return a
+}
+
+// reach reports per ID whether the root can reach it.
+func (a *Analysis) reach() []bool {
+	reach := make([]bool, len(a.names))
+	if a.Grammar.Root == "" {
+		return reach
+	}
+	stack := []int{a.ids[a.Grammar.Root]}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !reach[v] {
+			reach[v] = true
+			stack = append(stack, a.calls[v]...)
+		}
+	}
+	return reach
+}
+
+// Reachable returns the productions g's root can reach, as
+// Analysis.Reachable does, without computing anything else.
+func Reachable(g *peg.Grammar) map[string]bool {
+	a := index(g)
+	out := map[string]bool{}
+	for v, r := range a.reach() {
+		setIf(out, a.names[v], r)
+	}
+	return out
+}
+
+// ------------------------------------------------------------- recursion
+
+// sccs numbers the strongly connected components of the graph given as
+// edge lists (Tarjan's algorithm, components numbered from 1). order
+// lists the nodes as their components complete, which puts every node's
+// callees' components before its own.
+func sccs(edges [][]int) (comp, order []int) {
+	comp = make([]int, len(edges))
+	num := make([]int, len(edges)) // discovery number; 0 = unvisited
+	low := make([]int, len(edges))
+	var stack []int
+	next, ncomp := 0, 0
+	var visit func(v int)
+	visit = func(v int) {
+		next++
+		num[v], low[v] = next, next
+		stack = append(stack, v)
+		for _, w := range edges[v] {
+			if num[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if comp[w] == 0 { // still on the stack
+				low[v] = min(low[v], num[w])
+			}
+		}
+		if low[v] == num[v] {
+			ncomp++
+			for w := -1; w != v; {
+				w = stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				comp[w] = ncomp
+				order = append(order, w)
+			}
+		}
+	}
+	for v := range edges {
+		if num[v] == 0 {
+			visit(v)
+		}
+	}
+	return comp, order
+}
+
+// selfReaching reports whether node v, with the given out-edges, can
+// reach itself: exactly when one edge stays inside its component.
+func selfReaching(edges, comp []int, v int) bool {
+	for _, w := range edges {
+		if comp[w] == comp[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// leftCalls appends the IDs of the productions callable before any input
+// has been consumed by e. Predicates are included (they parse at the same
+// position).
+func (a *Analysis) leftCalls(e peg.Expr, out []int) []int {
+	switch e := e.(type) {
+	case *peg.NonTerm:
+		out = append(out, a.ids[e.Name])
+	case *peg.Capture:
+		out = a.leftCalls(e.Expr, out)
+	case *peg.And:
+		out = a.leftCalls(e.Expr, out)
+	case *peg.Not:
+		out = a.leftCalls(e.Expr, out)
+	case *peg.Optional:
+		out = a.leftCalls(e.Expr, out)
+	case *peg.Repeat:
+		out = a.leftCalls(e.Expr, out)
+	case *peg.Seq:
+		for _, it := range e.Items {
+			out = a.leftCalls(it.Expr, out)
+			if !a.exprNullable(it.Expr) {
+				break
+			}
+		}
+	case *peg.Choice:
+		for _, alt := range e.Alts {
+			out = a.leftCalls(alt, out)
+		}
+	case *peg.LeftRec:
+		out = a.leftCalls(e.Seed, out)
+		if a.exprNullable(e.Seed) {
+			for _, s := range e.Suffixes {
+				out = a.leftCalls(s, out)
+			}
+		}
+	}
+	return out
+}
+
+// directLeftRec reports whether the choice has an alternative literally
+// beginning with a self-reference — the pattern the optimizer's
+// left-recursion transform rewrites to iteration.
+func directLeftRec(name string, c *peg.Choice) bool {
+	if c == nil {
+		return false
+	}
+	for _, alt := range c.Alts {
+		if len(alt.Items) > 0 {
+			if nt, ok := alt.Items[0].Expr.(*peg.NonTerm); ok && nt.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ------------------------------------------------------------------ facts
+
+// computeFacts reaches the least fixpoint of nullability, valuedness and
+// first sets together. Each production is evaluated once, callees first
+// (order), and again only when a production it references has changed.
+// Nullability, valuedness, first sets and imprecision only grow, so the
+// result is the one a round-robin iteration of each property in turn
+// reaches.
+func (a *Analysis) computeFacts(order []int) {
+	g, n := a.Grammar, len(a.names)
+	a.nullable, a.valued, a.first, a.precise = make([]bool, n), make([]bool, n), make([]ByteSet, n), make([]bool, n)
+	callers := make([][]int, n)
+	for v, ws := range a.calls {
+		for _, w := range ws {
+			callers[w] = append(callers[w], v)
+		}
+	}
+	queued := make([]bool, n)
+	queue := make([]int, 0, n)
+	for _, v := range order {
+		if v < len(g.Order) {
+			a.precise[v], queued[v] = true, true
+			queue = append(queue, v)
+		} else {
+			// Undefined (reported by Check): stay conservative.
+			a.valued[v] = true
+			a.first[v].AddAll()
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue, queued[v] = queue[1:], false
+		p := g.Prods[a.names[v]]
+		changed := false
+		if !a.nullable[v] && a.exprNullable(p.Choice) {
+			a.nullable[v], changed = true, true
+		}
+		// text productions always produce a token; void productions never
+		// produce anything; otherwise the body decides.
+		if !a.valued[v] && (p.Attrs.Has(peg.AttrText) || !p.Attrs.Has(peg.AttrVoid) && a.ExprValued(p.Choice)) {
+			a.valued[v], changed = true, true
+		}
+		if set, precise := a.firstOf(p.Choice); set != a.first[v] || a.precise[v] && !precise {
+			a.first[v], a.precise[v], changed = set, a.precise[v] && precise, true
+		}
+		for _, c := range callers[v] {
+			if changed && !queued[c] {
+				queued[c] = true
+				queue = append(queue, c)
 			}
 		}
 	}
@@ -117,7 +368,8 @@ func (a *Analysis) exprNullable(e peg.Expr) bool {
 	case *peg.CharClass, *peg.Any:
 		return false
 	case *peg.NonTerm:
-		return a.Nullable[e.Name]
+		v, ok := a.ids[e.Name]
+		return ok && a.nullable[v]
 	case *peg.Capture:
 		return a.exprNullable(e.Expr)
 	case *peg.And, *peg.Not:
@@ -151,38 +403,6 @@ func (a *Analysis) exprNullable(e peg.Expr) bool {
 	}
 }
 
-// ----------------------------------------------------------------- valued
-
-// computeValued computes, to a fixpoint, whether each production can
-// produce a non-nil semantic value. text productions always produce a
-// token; void productions never produce anything; otherwise the body
-// decides, looking through references.
-func (a *Analysis) computeValued() {
-	changed := true
-	for changed {
-		changed = false
-		for _, name := range a.Grammar.Order {
-			if a.Valued[name] {
-				continue
-			}
-			p := a.Grammar.Prods[name]
-			v := false
-			switch {
-			case p.Attrs.Has(peg.AttrText):
-				v = true
-			case p.Attrs.Has(peg.AttrVoid):
-				v = false
-			default:
-				v = a.ExprValued(p.Choice)
-			}
-			if v {
-				a.Valued[name] = true
-				changed = true
-			}
-		}
-	}
-}
-
 // ExprValued reports whether e can produce a non-nil semantic value,
 // looking through nonterminal references (monotone under the current
 // Valued table; exact after Analyze).
@@ -193,10 +413,8 @@ func (a *Analysis) ExprValued(e peg.Expr) bool {
 	case *peg.CharClass, *peg.Any, *peg.Capture:
 		return true
 	case *peg.NonTerm:
-		if _, defined := a.Grammar.Prods[e.Name]; !defined {
-			return true // undefined (reported elsewhere): stay conservative
-		}
-		return a.Valued[e.Name]
+		v, ok := a.ids[e.Name]
+		return !ok || a.valued[v] // undefined names are valued
 	case *peg.Optional:
 		return a.ExprValued(e.Expr)
 	case *peg.Repeat:
@@ -233,167 +451,71 @@ func (a *Analysis) ExprValued(e peg.Expr) bool {
 	}
 }
 
-// -------------------------------------------------------------- reachable
-
-func (a *Analysis) computeReachable() {
-	if a.Grammar.Root == "" {
-		return
-	}
-	var visit func(name string)
-	visit = func(name string) {
-		if a.Reachable[name] {
-			return
-		}
-		a.Reachable[name] = true
-		p := a.Grammar.Prods[name]
-		if p == nil {
-			return
-		}
-		peg.Walk(p.Choice, func(e peg.Expr) {
-			if nt, ok := e.(*peg.NonTerm); ok {
-				visit(nt.Name)
-			}
-		})
-	}
-	visit(a.Grammar.Root)
-}
-
-func (a *Analysis) computeRefCounts() {
-	if a.Grammar.Root != "" {
-		a.RefCount[a.Grammar.Root]++
-	}
-	for _, name := range a.Grammar.Order {
-		if !a.Reachable[name] {
-			continue
-		}
-		p := a.Grammar.Prods[name]
-		peg.Walk(p.Choice, func(e peg.Expr) {
-			if nt, ok := e.(*peg.NonTerm); ok {
-				a.RefCount[nt.Name]++
-			}
-		})
-	}
-}
-
-// -------------------------------------------------------------- recursion
-
-// computeRecursion finds cycles in the full call graph (Recursive) and in
-// the left-edge call graph (LeftRecursive).
-func (a *Analysis) computeRecursion() {
-	full := map[string][]string{}
-	left := map[string][]string{}
-	for _, name := range a.Grammar.Order {
-		p := a.Grammar.Prods[name]
-		fullSet := map[string]bool{}
-		peg.Walk(p.Choice, func(e peg.Expr) {
-			if nt, ok := e.(*peg.NonTerm); ok {
-				fullSet[nt.Name] = true
-			}
-		})
-		full[name] = sortedKeys(fullSet)
-		leftSet := map[string]bool{}
-		if p.Choice != nil {
-			a.leftCalls(p.Choice, leftSet)
-		}
-		left[name] = sortedKeys(leftSet)
-	}
-	for name, set := range reachesSelf(full) {
-		a.Recursive[name] = set
-	}
-	for name, set := range reachesSelf(left) {
-		a.LeftRecursive[name] = set
-	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// reachesSelf returns, for every node of the graph, whether the node can
-// reach itself through one or more edges.
-func reachesSelf(graph map[string][]string) map[string]bool {
-	out := map[string]bool{}
-	for start := range graph {
-		seen := map[string]bool{}
-		stack := append([]string(nil), graph[start]...)
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if n == start {
-				out[start] = true
-				break
-			}
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, graph[n]...)
-		}
-	}
-	return out
-}
-
-// leftCalls collects the productions callable before any input has been
-// consumed by e. Predicates are included (they parse at the same position).
-func (a *Analysis) leftCalls(e peg.Expr, out map[string]bool) {
+// firstOf returns the first-byte over-approximation of e and whether it is
+// precise. A precise set S guarantees: if the next input byte is not in S
+// and e is not nullable, e cannot match.
+func (a *Analysis) firstOf(e peg.Expr) (set ByteSet, precise bool) {
+	precise = true
 	switch e := e.(type) {
+	case nil, *peg.Empty:
+		// matches empty; contributes nothing
+	case *peg.Literal:
+		if len(e.Text) > 0 {
+			set.Add(e.Text[0])
+		}
+	case *peg.CharClass:
+		for _, r := range e.Ranges {
+			set.AddRange(r.Lo, r.Hi)
+		}
+		if e.Negated {
+			set.Invert()
+		}
+	case *peg.Any:
+		set.AddAll()
 	case *peg.NonTerm:
-		out[e.Name] = true
+		if v, ok := a.ids[e.Name]; ok {
+			return a.first[v], a.precise[v]
+		}
+		set.AddAll()
+		precise = false
 	case *peg.Capture:
-		a.leftCalls(e.Expr, out)
-	case *peg.And:
-		a.leftCalls(e.Expr, out)
-	case *peg.Not:
-		a.leftCalls(e.Expr, out)
+		return a.firstOf(e.Expr)
+	case *peg.And, *peg.Not:
+		// Predicates do not consume; they constrain, which only ever
+		// shrinks the true first set, so contributing nothing stays an
+		// over-approximation. But a sequence headed by a predicate cannot
+		// be dispatched on, so mark imprecise.
+		precise = false
 	case *peg.Optional:
-		a.leftCalls(e.Expr, out)
+		return a.firstOf(e.Expr)
 	case *peg.Repeat:
-		a.leftCalls(e.Expr, out)
+		return a.firstOf(e.Expr)
 	case *peg.Seq:
 		for _, it := range e.Items {
-			a.leftCalls(it.Expr, out)
+			s, p := a.firstOf(it.Expr)
+			set.Union(&s)
+			precise = precise && p
 			if !a.exprNullable(it.Expr) {
 				break
 			}
 		}
 	case *peg.Choice:
 		for _, alt := range e.Alts {
-			a.leftCalls(alt, out)
+			s, p := a.firstOf(alt)
+			set.Union(&s)
+			precise = precise && p
 		}
 	case *peg.LeftRec:
-		a.leftCalls(e.Seed, out)
+		set, precise = a.firstOf(e.Seed)
 		if a.exprNullable(e.Seed) {
-			for _, s := range e.Suffixes {
-				a.leftCalls(s, out)
+			for _, sx := range e.Suffixes {
+				s, p := a.firstOf(sx)
+				set.Union(&s)
+				precise = precise && p
 			}
 		}
 	}
-}
-
-// computeDirectLeftRec flags productions whose choice has an alternative
-// literally beginning with a self-reference — the pattern the optimizer's
-// left-recursion transform rewrites to iteration.
-func (a *Analysis) computeDirectLeftRec() {
-	for _, name := range a.Grammar.Order {
-		p := a.Grammar.Prods[name]
-		if p.Choice == nil {
-			continue
-		}
-		for _, alt := range p.Choice.Alts {
-			if len(alt.Items) == 0 {
-				continue
-			}
-			if nt, ok := alt.Items[0].Expr.(*peg.NonTerm); ok && nt.Name == name {
-				a.DirectLeftRec[name] = true
-				break
-			}
-		}
-	}
+	return set, precise
 }
 
 // ------------------------------------------------------------------- cost
@@ -453,133 +575,14 @@ func ExprCost(e peg.Expr) int {
 	}
 }
 
-func (a *Analysis) computeCosts() {
-	for _, name := range a.Grammar.Order {
-		a.Cost[name] = ExprCost(a.Grammar.Prods[name].Choice)
-	}
-}
-
-// ------------------------------------------------------------- first sets
-
-// computeFirstSets computes, per production, the set of bytes a successful
-// match can start with. The computation iterates to a fixpoint; precision
-// is tracked so the engines only build dispatch tables from exact sets.
-func (a *Analysis) computeFirstSets() {
-	for _, name := range a.Grammar.Order {
-		a.First[name] = &ByteSet{}
-		a.FirstPrecise[name] = true
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, name := range a.Grammar.Order {
-			p := a.Grammar.Prods[name]
-			set, precise := a.firstOf(p.Choice)
-			old := a.First[name]
-			if !setEqual(old, set) {
-				a.First[name] = set
-				changed = true
-			}
-			if precise != a.FirstPrecise[name] && !precise {
-				a.FirstPrecise[name] = false
-				changed = true
-			}
-		}
-	}
-}
-
-func setEqual(x, y *ByteSet) bool { return x.bits == y.bits }
-
-// firstOf returns the first-byte over-approximation of e and whether it is
-// precise. A precise set S guarantees: if the next input byte is not in S
-// and e is not nullable, e cannot match.
-func (a *Analysis) firstOf(e peg.Expr) (*ByteSet, bool) {
-	set := &ByteSet{}
-	precise := true
-	switch e := e.(type) {
-	case nil, *peg.Empty:
-		// matches empty; contributes nothing
-	case *peg.Literal:
-		if len(e.Text) > 0 {
-			set.Add(e.Text[0])
-		}
-	case *peg.CharClass:
-		for _, r := range e.Ranges {
-			set.AddRange(r.Lo, r.Hi)
-		}
-		if e.Negated {
-			set.Invert()
-		}
-	case *peg.Any:
-		set.AddAll()
-	case *peg.NonTerm:
-		if f := a.First[e.Name]; f != nil {
-			set.Union(f)
-			precise = a.FirstPrecise[e.Name]
-		} else {
-			// Undefined reference (reported by Check): assume anything.
-			set.AddAll()
-			precise = false
-		}
-	case *peg.Capture:
-		return a.firstOf(e.Expr)
-	case *peg.And, *peg.Not:
-		// Predicates do not consume; they constrain, which only ever
-		// shrinks the true first set, so contributing nothing stays an
-		// over-approximation. But a sequence headed by a predicate cannot
-		// be dispatched on, so mark imprecise.
-		precise = false
-	case *peg.Optional:
-		s, p := a.firstOf(e.Expr)
-		set.Union(s)
-		precise = p
-	case *peg.Repeat:
-		s, p := a.firstOf(e.Expr)
-		set.Union(s)
-		precise = p
-	case *peg.Seq:
-		for _, it := range e.Items {
-			s, p := a.firstOf(it.Expr)
-			set.Union(s)
-			if !p {
-				precise = false
-			}
-			if !a.exprNullable(it.Expr) {
-				break
-			}
-		}
-	case *peg.Choice:
-		for _, alt := range e.Alts {
-			s, p := a.firstOf(alt)
-			set.Union(s)
-			if !p {
-				precise = false
-			}
-		}
-	case *peg.LeftRec:
-		s, p := a.firstOf(e.Seed)
-		set.Union(s)
-		if !p {
-			precise = false
-		}
-		if a.exprNullable(e.Seed) {
-			for _, sx := range e.Suffixes {
-				s, p := a.firstOf(sx)
-				set.Union(s)
-				if !p {
-					precise = false
-				}
-			}
-		}
-	}
-	return set, precise
-}
-
 // ------------------------------------------------------------------ check
 
 // FirstOfExpr exposes the expression-level first-byte computation for
 // engine compilers building dispatch tables.
-func FirstOfExpr(a *Analysis, e peg.Expr) (*ByteSet, bool) { return a.firstOf(e) }
+func FirstOfExpr(a *Analysis, e peg.Expr) (*ByteSet, bool) {
+	set, precise := a.firstOf(e)
+	return &set, precise
+}
 
 // NullableExpr exposes the expression-level nullability test.
 func NullableExpr(a *Analysis, e peg.Expr) bool { return a.exprNullable(e) }

@@ -387,7 +387,7 @@ func TestByteSetProperties(t *testing.T) {
 		inv := x.Clone()
 		inv.Invert()
 		inv.Invert()
-		return setEqual(inv, &x)
+		return *inv == x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

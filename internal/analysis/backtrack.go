@@ -1,6 +1,10 @@
 package analysis
 
-import "modpeg/internal/peg"
+import (
+	"math/bits"
+
+	"modpeg/internal/peg"
+)
 
 // BacktrackPrefixes returns the productions an ordered parse can invoke
 // a second time at the same input position — the memoization set that
@@ -31,113 +35,93 @@ import "modpeg/internal/peg"
 // place of the interpreter's profile-guided inlining: it needs no
 // profile, which is what lets registry uploads compile cold.
 func (a *Analysis) BacktrackPrefixes() map[string]bool {
-	// Transitive closure of the leftmost-call graph, per production.
-	direct := make(map[string][]string, len(a.Grammar.Order))
-	for _, name := range a.Grammar.Order {
-		p := a.Grammar.Prods[name]
-		if p.Choice == nil {
-			continue
+	// The transitive closure of the leftmost-call graph, as bitsets over
+	// production IDs. A production's closure is its whole component's:
+	// what any member left-calls, plus those calls' closures (a call
+	// inside the component adds its own closure to itself, a no-op).
+	// Components complete callees first, so one pass in that order
+	// builds them all.
+	comp, order := sccs(a.left)
+	words := (len(a.names) + 63) / 64
+	closures := make([]uint64, (len(a.names)+1)*words)
+	closure := func(v int) []uint64 { return closures[comp[v]*words : (comp[v]+1)*words] }
+	add := func(set []uint64, v int) {
+		set[v/64] |= 1 << (v % 64)
+		for i, w := range closure(v) {
+			set[i] |= w
 		}
-		set := map[string]bool{}
-		a.leftCalls(p.Choice, set)
-		direct[name] = sortedKeys(set)
 	}
-	closure := make(map[string]map[string]bool, len(direct))
-	for name := range direct {
-		seen := map[string]bool{}
-		stack := append([]string(nil), direct[name]...)
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, direct[n]...)
+	for _, v := range order {
+		for _, w := range a.left[v] {
+			add(closure(v), w)
 		}
-		closure[name] = seen
 	}
-
-	// expand is a competitor's leftmost frontier: the productions its
-	// expression can call before consuming input, plus everything those
-	// can left-call in turn.
-	expand := func(e peg.Expr) map[string]bool {
-		out := map[string]bool{}
-		a.leftCalls(e, out)
-		for _, name := range sortedKeys(out) {
-			for q := range closure[name] {
-				out[q] = true
-			}
-		}
-		return out
-	}
+	has := func(set []uint64, v int) bool { return set[v/64]&(1<<(v%64)) != 0 }
 
 	out := map[string]bool{}
-	mark := func(group []map[string]bool) {
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				for p := range group[i] {
-					if !group[j][p] {
-						continue
-					}
-					// Keep p unless some other shared production sits
-					// strictly above it on the leftmost frontier.
-					dominated := false
-					for q := range group[i] {
-						if q != p && group[j][q] && closure[q][p] && !closure[p][q] {
-							dominated = true
-							break
-						}
-					}
-					if !dominated {
-						out[p] = true
-					}
-				}
-			}
-		}
-	}
-
+	var group []peg.Expr
+	var frontiers []uint64
+	var calls, shared []int
 	for _, name := range a.Grammar.Order {
-		if !a.Reachable[name] {
+		prod := a.Grammar.Prods[name]
+		if !a.Reachable[name] || prod.Choice == nil {
 			continue
 		}
-		p := a.Grammar.Prods[name]
-		if p.Choice == nil {
-			continue
-		}
-		peg.Walk(p.Choice, func(e peg.Expr) {
+		peg.Walk(prod.Choice, func(e peg.Expr) {
+			group = group[:0]
 			switch e := e.(type) {
 			case *peg.Choice:
-				if len(e.Alts) < 2 {
-					return
+				for _, alt := range e.Alts {
+					group = append(group, alt)
 				}
-				group := make([]map[string]bool, len(e.Alts))
-				for i, alt := range e.Alts {
-					group[i] = expand(alt)
-				}
-				mark(group)
 			case *peg.Seq:
 				// Items up to and including the first non-nullable one
 				// all start at the sequence's own position.
-				var group []map[string]bool
 				for _, it := range e.Items {
-					group = append(group, expand(it.Expr))
+					group = append(group, it.Expr)
 					if !a.exprNullable(it.Expr) {
 						break
 					}
 				}
-				if len(group) >= 2 {
-					mark(group)
-				}
 			case *peg.LeftRec:
-				if len(e.Suffixes) < 2 {
-					return
+				for _, s := range e.Suffixes {
+					group = append(group, s)
 				}
-				group := make([]map[string]bool, len(e.Suffixes))
-				for i, s := range e.Suffixes {
-					group[i] = expand(s)
+			}
+			if len(group) < 2 {
+				return
+			}
+			// A competitor's leftmost frontier: the productions its
+			// expression can call before consuming input, plus everything
+			// those can left-call in turn.
+			frontiers = append(frontiers[:0], make([]uint64, len(group)*words)...)
+			for i, x := range group {
+				calls = a.leftCalls(x, calls[:0])
+				for _, v := range calls {
+					add(frontiers[i*words:(i+1)*words], v)
 				}
-				mark(group)
+			}
+			for i := range group {
+				for j := i + 1; j < len(group); j++ {
+					shared = shared[:0]
+					for k := 0; k < words; k++ {
+						for w := frontiers[i*words+k] & frontiers[j*words+k]; w != 0; w &= w - 1 {
+							shared = append(shared, k*64+bits.TrailingZeros64(w))
+						}
+					}
+					// Keep each shared production unless another one sits
+					// strictly above it on the leftmost frontier.
+					for _, p := range shared {
+						dominated := false
+						for _, q := range shared {
+							if q != p && has(closure(q), p) && !has(closure(p), q) {
+								dominated = true
+								break
+							}
+						}
+						setIf(out, a.names[p], !dominated)
+					}
+				}
 			}
 		})
 	}

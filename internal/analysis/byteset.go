@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -48,7 +49,7 @@ func (s *ByteSet) Invert() {
 func (s *ByteSet) Len() int {
 	n := 0
 	for _, w := range s.bits {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -72,15 +73,6 @@ func (s *ByteSet) Intersects(o *ByteSet) bool {
 func (s *ByteSet) Clone() *ByteSet {
 	c := *s
 	return &c
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // String renders the set compactly as ranges, for debugging output.

@@ -52,6 +52,7 @@ import (
 	"modpeg"
 	"modpeg/internal/syntax"
 	"modpeg/internal/text"
+	"modpeg/internal/vm"
 )
 
 // ErrKind classifies registry errors for typed HTTP mapping.
@@ -735,6 +736,7 @@ func (r *Registry) Delete(tenantName, name string, versionNumber int) (DeleteRes
 	v.st = stateFailed // tombstone: a concurrent build of this version drops its result
 	v.failure = "deleted"
 	g.versions = append(g.versions[:idx], g.versions[idx+1:]...)
+	vm.ForgetLabel(Label(tenantName, name, versionNumber))
 	res := DeleteResult{Tenant: tenantName, Grammar: name, Deleted: versionNumber, Inflight: v.inflight.Load()}
 	if wasActive {
 		var next *version

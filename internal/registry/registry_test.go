@@ -308,6 +308,11 @@ func TestVersionPinAndRollback(t *testing.T) {
 	if _, err := r.Acquire("acme", "t.base", 2); err == nil {
 		t.Error("deleted version must not be acquirable")
 	}
+	// The deleted version's per-grammar counters are no longer exported;
+	// the surviving version's are.
+	if got := modpeg.Metrics().Grammars; got[Label("acme", "t.base", 2)].ParsesStarted != 0 || got[Label("acme", "t.base", 1)].ParsesStarted == 0 {
+		t.Errorf("per-grammar counters after deleting v2: %v", got)
+	}
 
 	// Deleting the last version removes the grammar and its tenant.
 	if _, err := r.Delete("acme", "t.base", 1); err != nil {

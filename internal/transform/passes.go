@@ -186,7 +186,6 @@ func singleByteAlt(a *peg.Seq) (*peg.CharClass, bool) {
 // an alternative that always succeeds without predicates) and productions
 // unreachable from the root.
 func deadCode(g *peg.Grammar, rep *Report) {
-	a := analysis.Analyze(g)
 	for _, name := range g.Order {
 		p := g.Prods[name]
 		if p.Choice == nil {
@@ -201,7 +200,7 @@ func deadCode(g *peg.Grammar, rep *Report) {
 				if i == len(c.Alts)-1 {
 					break
 				}
-				if alwaysSucceeds(a, alt) {
+				if alwaysSucceeds(alt) {
 					rep.DeadAlternatives += len(c.Alts) - i - 1
 					c.Alts = c.Alts[:i+1]
 					break
@@ -211,9 +210,9 @@ func deadCode(g *peg.Grammar, rep *Report) {
 		}).(*peg.Choice)
 	}
 	// Unreachable productions, recomputed after alternative removal.
-	a = analysis.Analyze(g)
+	reachable := analysis.Reachable(g)
 	for _, name := range append([]string(nil), g.Order...) {
-		if !a.Reachable[name] {
+		if !reachable[name] {
 			g.Remove(name)
 			rep.DeadProductions++
 		}
@@ -223,7 +222,7 @@ func deadCode(g *peg.Grammar, rep *Report) {
 // alwaysSucceeds conservatively reports whether an alternative matches at
 // every position (so later alternatives are unreachable). Only trivially
 // empty shapes qualify.
-func alwaysSucceeds(a *analysis.Analysis, s *peg.Seq) bool {
+func alwaysSucceeds(s *peg.Seq) bool {
 	for _, it := range s.Items {
 		switch e := it.Expr.(type) {
 		case *peg.Empty:

@@ -191,10 +191,9 @@ func normalizeClasses(g *peg.Grammar, rep *Report) {
 // hard error, matching the paper's tool which rejects what it cannot
 // transform.
 func rewriteLeftRecursion(g *peg.Grammar, rep *Report) error {
-	a := analysis.Analyze(g)
 	for _, name := range g.Order {
 		p := g.Prods[name]
-		if p.Choice == nil || !a.DirectLeftRec[name] {
+		if p.Choice == nil {
 			continue
 		}
 		var seeds []*peg.Seq
@@ -213,6 +212,9 @@ func rewriteLeftRecursion(g *peg.Grammar, rep *Report) error {
 				}
 			}
 			seeds = append(seeds, alt)
+		}
+		if len(suffixes) == 0 {
+			continue
 		}
 		if len(seeds) == 0 {
 			return fmt.Errorf("transform: production %q is left-recursive in every alternative", name)

@@ -293,9 +293,9 @@ var (
 )
 
 // grammarStatsFor returns the (process-wide) counter set for label,
-// registering it on first use. Counter sets are never removed: Programs
-// keep pointers to them, and ResetMetrics zeroes them in place so a
-// reset never orphans a live Program's counters.
+// registering it on first use. Counter sets stay registered until
+// ForgetLabel: Programs keep pointers to them, and ResetMetrics zeroes
+// them in place so a reset never orphans a live Program's counters.
 func grammarStatsFor(label string) *grammarStats {
 	grammarsMu.Lock()
 	defer grammarsMu.Unlock()
@@ -305,6 +305,18 @@ func grammarStatsFor(label string) *grammarStats {
 		grammarsReg[label] = g
 	}
 	return g
+}
+
+// ForgetLabel unregisters label's counter set, so it is no longer
+// exported. A Program still labeled with it keeps counting, unexported;
+// a later SetLabel of the same label starts a fresh set. The grammar
+// registry forgets a version's label when it deletes the version, so a
+// long-running server under upload churn holds counters only for the
+// versions it still has.
+func ForgetLabel(label string) {
+	grammarsMu.Lock()
+	defer grammarsMu.Unlock()
+	delete(grammarsReg, label)
 }
 
 // GrammarCounters is a point-in-time copy of one grammar label's

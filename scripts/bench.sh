@@ -3,13 +3,16 @@
 # Table 5 session-residency, Table 6 observability, Table 7
 # resource-governance, Table 8 incremental-reparse, and Table 9
 # telemetry-overhead benchmarks and record the results as JSON
-# (BENCH_16.json by default; pass a path to override). Each record maps
+# (BENCH_17.json by default; pass a path to override). Each record maps
 # a benchmark name to ns/op, B/op, and allocs/op. The Table 3 rows pit
 # backtracking, naive packrat, the optimized byte-level engine, and the
 # profile-guided-inlining engine against each other on the same 40 KB
-# java corpus; the derived java-40KB-ns-per-byte row (optimized ns/op
-# divided by the 40960-byte input) is the hot-path ratchet that
-# scripts/bench_check.sh gates. The Table3Compiled rows time the
+# java corpus; the optimized row runs five times and records the
+# median, with every run's ns/op sorted in its runs_ns field, and the
+# derived java-40KB-ns-per-byte row (that median divided by the
+# 40960-byte input) is the hot-path ratchet that scripts/bench_check.sh
+# gates: a single run of this row has read anywhere from 262 to 513
+# ns/byte on one machine. The Table3Compiled rows time the
 # optimized interpreter and the closure-compiled engine inside the same
 # benchmark iteration and report their ratio as a "speedup" metric; the
 # derived compiled-speedup-x1000 (valued 64 KB java, Amdahl-bound by
@@ -35,14 +38,19 @@
 # extends the zero-allocation canary to the pooled traced entry point.
 # The ValueEncode/java-64KB row times the /parse value encoder
 # (ast.AppendJSON of the 64 KB java value into a reused buffer);
-# bench_check.sh holds it at exactly 0 allocs/op.
+# bench_check.sh holds it at exactly 0 allocs/op. The Table4Composition
+# build rows time the grammar side of a registry upload on java.core
+# (transform.Apply with the default passes, then vm.Compile for one
+# engine); bench_check.sh holds their allocs/op under a ceiling.
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_16.json}"
+out="${1:-BENCH_17.json}"
 
 {
 	go test -run '^$' -bench 'BenchmarkTable3Compiled|BenchmarkTable5|BenchmarkTable6|BenchmarkTable7|BenchmarkTable8|BenchmarkTable9|BenchmarkValueEncode' -benchmem -benchtime 20x .
-	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable4Composition/build/' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/(backtracking|naive-packrat|optimized\+pgo)$' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/optimized$' -benchmem -benchtime 20x -count 5 .
 } |
 	tee /dev/stderr |
 	awk '
@@ -64,6 +72,10 @@ out="${1:-BENCH_16.json}"
 				if (name ~ /Table3Compiled\/void-64KB/) voidspeed = sp
 			}
 			if (ov != "" && name ~ /Table6SamplingOverhead/) sampover = ov
+			if (ns != "" && name ~ /Table3Engines\/size=40KB\/optimized$/) {
+				runs[++nruns] = ns; runbop = bop; runaop = aop
+				next
+			}
 			if (ns != "") {
 				rows[++n] = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, bop, aop)
 				if (name ~ /Table6Observability\/disabled/) disabled = ns
@@ -75,10 +87,21 @@ out="${1:-BENCH_16.json}"
 				if (name ~ /Table9Telemetry\/bare/) telbare = ns
 				if (name ~ /Table9Telemetry\/metrics/) telmetrics = ns
 				if (name ~ /Table9Telemetry\/traced/) teltraced = ns
-				if (name ~ /Table3Engines\/size=40KB\/optimized$/) javaopt = ns
 			}
 		}
 		END {
+			# The repeated optimized java row: sort its runs and keep the
+			# median as the ns/op of the row (and of the hot-path ratchet below).
+			if (nruns > 0) {
+				for (i = 2; i <= nruns; i++)
+					for (j = i; j > 1 && runs[j - 1] + 0 > runs[j] + 0; j--) {
+						t = runs[j]; runs[j] = runs[j - 1]; runs[j - 1] = t
+					}
+				javaopt = runs[int((nruns + 1) / 2)]
+				list = runs[1]
+				for (i = 2; i <= nruns; i++) list = list ", " runs[i]
+				rows[++n] = sprintf("  {\"name\": \"BenchmarkTable3Engines/size=40KB/optimized\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"runs_ns\": [%s]}", javaopt, runbop, runaop, list)
+			}
 			# Pre-session-layer reference: the seed tree measured
 			# BenchmarkTable3Engines/java/optimized (cold Program.Parse on
 			# the same 40 KB java.core workload) at these numbers. Kept in
@@ -106,8 +129,9 @@ out="${1:-BENCH_16.json}"
 			if (voidspeed != "")
 				rows[++n] = sprintf("  {\"name\": \"derived/compiled-void-speedup-x1000\", \"ns_per_op\": %.0f, \"bytes_per_op\": 0, \"allocs_per_op\": 0}", voidspeed * 1000)
 			# Hot-path ratchet: optimized-engine ns per input byte on the
-			# 40 KB (40960-byte) java corpus. The seed reference row above
-			# works out to 723 ns/byte; bench_check.sh gates this row.
+			# 40 KB (40960-byte) java corpus, from the median of its runs.
+			# The seed reference row above works out to 723 ns/byte;
+			# bench_check.sh gates this row.
 			if (javaopt != "")
 				rows[++n] = sprintf("  {\"name\": \"derived/java-40KB-ns-per-byte\", \"ns_per_op\": %.0f, \"bytes_per_op\": 0, \"allocs_per_op\": 0}", javaopt / 40960)
 			# Always-on sampled-profiling overhead at the 1-in-100 duty
