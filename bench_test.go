@@ -170,11 +170,12 @@ func BenchmarkTable3Engines(b *testing.B) {
 					// Profile-guided compilation: one profiled parse of the
 					// corpus feeds the hot-production report back into Compile.
 					prog := mustProgram(b, c.top, e.topts, eopts)
-					_, _, profile, err := prog.ParseWithProfile(text.NewSource("bench", c.input))
+					pr := prog.NewProfiler()
+					_, _, err := prog.ParseRequest(context.Background(), text.NewSource("bench", c.input), vm.Request{Hook: pr})
 					if err != nil {
 						b.Fatal(err)
 					}
-					eopts.PGO = profile.PGO()
+					eopts.PGO = pr.Profile().PGO()
 				}
 				prog := mustProgram(b, c.top, e.topts, eopts)
 				benchParse(b, prog, c.input)
@@ -560,7 +561,7 @@ func BenchmarkTable5Batch(b *testing.B) {
 		b.SetBytes(int64(total))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, r := range prog.ParseAll(srcs, 0) {
+			for _, r := range prog.ParseAll(context.Background(), srcs, 0, vm.Limits{}) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -631,8 +632,8 @@ func BenchmarkTable5VoidSteadyState(b *testing.B) {
 			}
 		})
 	}
-	// The serve layer's default hot path: pooled, governed, traced entry
-	// point with sampling off and no trace ID. The sampling decision is
+	// The serve layer's default hot path: pooled ParseRequest with
+	// sampling off and no trace ID. The sampling decision is
 	// one atomic load per checkout and the exemplar branch one string
 	// compare, so this row is held to the same 0 allocs/op floor as the
 	// session rows — the always-on profiler must cost nothing when off.
@@ -642,14 +643,14 @@ func BenchmarkTable5VoidSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 		ctx := context.Background()
-		if _, _, err := prog.ParseContextTraced(ctx, src, vm.Limits{}, ""); err != nil {
+		if _, _, err := prog.ParseRequest(ctx, src, vm.Request{}); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(input)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := prog.ParseContextTraced(ctx, src, vm.Limits{}, ""); err != nil {
+			if _, _, err := prog.ParseRequest(ctx, src, vm.Request{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -658,11 +659,12 @@ func BenchmarkTable5VoidSteadyState(b *testing.B) {
 
 // ---------------------------------------------------------------- Table 7
 //
-// Resource-governance overhead: the java.core workload parsed
-// ungoverned, governed with zero limits (the arming cost alone), and
-// governed with every budget armed but generous (the polling cost on
-// the chunk-allocation and backtrack edges). The acceptance bound is
-// the zero-limits row matching the ungoverned row within noise.
+// Resource-governance overhead: the java.core workload parsed with
+// Session.Parse ("ungoverned"), with ParseRequest and zero limits (the
+// arming cost alone), and with every budget armed but generous (the
+// polling cost on the chunk-allocation and backtrack edges). Parse is
+// ParseRequest with a zero Request, so the first two rows time one
+// path; the row names stay for comparison with earlier BENCH files.
 
 func BenchmarkTable7Governance(b *testing.B) {
 	prog := mustProgram(b, grammars.JavaCore, transform.Defaults(), vm.Optimized())
@@ -680,7 +682,7 @@ func BenchmarkTable7Governance(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			if governed {
-				_, _, err = s.ParseContext(ctx, src, lim)
+				_, _, err = s.ParseRequest(ctx, src, vm.Request{Limits: lim})
 			} else {
 				_, _, err = s.Parse(src)
 			}
@@ -730,7 +732,7 @@ func BenchmarkTable6Observability(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := prog.ParseWithHook(src, pr); err != nil {
+			if _, _, err := prog.ParseRequest(context.Background(), src, vm.Request{Hook: pr}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -739,7 +741,8 @@ func BenchmarkTable6Observability(b *testing.B) {
 		b.SetBytes(int64(len(input)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := prog.ParseWithTrace(src, io.Discard); err != nil {
+			trace := vm.Request{Hook: prog.NewCallTrace(io.Discard)}
+			if _, _, err := prog.ParseRequest(context.Background(), src, trace); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -898,7 +901,7 @@ func BenchmarkTable9Telemetry(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr := telemetry.NewTrace(prog, io.Discard)
-			if _, _, err := prog.ParseWithHook(src, tr); err != nil {
+			if _, _, err := prog.ParseRequest(context.Background(), src, vm.Request{Hook: tr}); err != nil {
 				b.Fatal(err)
 			}
 			if err := tr.Close(); err != nil {

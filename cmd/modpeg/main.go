@@ -339,9 +339,10 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 		return fmt.Errorf("parse: -edits requires -incremental")
 	}
 
-	var v modpeg.Value
-	var stats modpeg.ParseStats
-	var prof *modpeg.Profile
+	// The flags pick only the hook; limits and -stats apply to every
+	// parse alike.
+	var hook modpeg.ParseHook
+	var prof *modpeg.Profiler
 	var trace *modpeg.TraceExporter
 	switch {
 	case *traceJSON != "":
@@ -354,22 +355,18 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 		}
 		defer f.Close()
 		trace = p.NewTraceJSON(f)
-		if governed {
-			v, stats, err = p.ParseContextWithHook(context.Background(), name, string(input), lim, trace)
-		} else {
-			v, stats, err = p.ParseWithHook(name, string(input), trace)
-		}
+		hook = trace
+	case *withTrace:
+		hook = p.NewCallTrace(w)
+	case *withProfile:
+		prof = p.NewProfiler()
+		hook = prof
+	}
+	v, stats, err := p.ParseRequest(context.Background(), name, string(input), modpeg.Request{Limits: lim, Hook: hook})
+	if trace != nil {
 		if cerr := trace.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-	case *withTrace:
-		v, err = p.ParseWithTrace(name, string(input), w)
-	case *withProfile:
-		v, stats, prof, err = p.ParseWithProfile(name, string(input))
-	case governed:
-		v, stats, err = p.NewSession().ParseContext(context.Background(), name, string(input), lim)
-	default:
-		v, stats, err = p.ParseWithStats(name, string(input))
 	}
 	if err != nil {
 		if pe, ok := err.(*vm.ParseError); ok {
@@ -396,7 +393,7 @@ func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 		fmt.Fprintf(w, "trace: %d events written to %s\n", trace.Events(), *traceJSON)
 	}
 	if prof != nil {
-		fmt.Fprintf(w, "\nhot productions:\n%s", prof.Report(10))
+		fmt.Fprintf(w, "\nhot productions:\n%s", prof.Profile().Report(10))
 	}
 	return nil
 }
@@ -588,7 +585,7 @@ func cmdProfile(args []string, stdin io.Reader, w io.Writer) error {
 	}
 	var stats modpeg.ParseStats
 	for i := 0; i < *reps; i++ {
-		_, st, err := p.ParseWithHook(name, string(input), hook)
+		_, st, err := p.ParseRequest(context.Background(), name, string(input), modpeg.Request{Hook: hook})
 		if err != nil {
 			if trace != nil {
 				trace.Close()

@@ -133,6 +133,25 @@ func TestParseWithLimits(t *testing.T) {
 	}
 }
 
+// TestParseLimitsApplyToEveryHook pins that -profile and -trace parse
+// under the same limits as a plain parse: the flags pick only the hook.
+func TestParseLimitsApplyToEveryHook(t *testing.T) {
+	for _, flag := range []string{"-stats", "-profile", "-trace"} {
+		_, errb, code := runCmd(t, "((((1+2))))*3", "parse", flag, "-max-depth", "2", "calc.core")
+		if code != 1 || !strings.Contains(errb, "call depth") {
+			t.Errorf("parse %s -max-depth 2: code=%d err=%q, want the depth limit", flag, code, errb)
+		}
+	}
+}
+
+// TestParseTraceStats pins that -stats reports the traced parse itself.
+func TestParseTraceStats(t *testing.T) {
+	out, errb, code := runCmd(t, "1+2", "parse", "-trace", "-stats", "calc.core")
+	if code != 0 || !strings.Contains(out, "stats: calls=") || strings.Contains(out, "stats: calls=0 ") {
+		t.Fatalf("parse -trace -stats: code=%d err=%q out=%q, want non-zero calls", code, errb, out)
+	}
+}
+
 func TestParseIncremental(t *testing.T) {
 	dir := t.TempDir()
 	edits := filepath.Join(dir, "edits.txt")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -69,7 +70,8 @@ func main() {
 	// and memo hits.
 	fmt.Println("\n## trace (first lines)")
 	var trace strings.Builder
-	if _, err := calc.ParseWithTrace("in", "1+2", &trace); err != nil {
+	req := modpeg.Request{Hook: calc.NewCallTrace(&trace)}
+	if _, _, err := calc.ParseRequest(context.Background(), "in", "1+2", req); err != nil {
 		log.Fatal(err)
 	}
 	lines := strings.Split(trace.String(), "\n")

@@ -377,12 +377,12 @@ func Table3(opts Options) Table {
 					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 					continue
 				}
-				_, _, profile, err := base.ParseWithProfile(src)
-				if err != nil {
+				pr := base.NewProfiler()
+				if _, _, err := base.ParseRequest(context.Background(), src, vm.Request{Hook: pr}); err != nil {
 					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 					continue
 				}
-				eopts.PGO = profile.PGO()
+				eopts.PGO = pr.Profile().PGO()
 			}
 			prog, err := buildProgram(c.top, e.topts, eopts)
 			if err != nil {
@@ -550,7 +550,7 @@ func Table5(opts Options) Table {
 			}
 		}},
 		{"batch-parallel (ParseAll)", func() {
-			prog.ParseAll(srcs, workers)
+			prog.ParseAll(context.Background(), srcs, workers, vm.Limits{})
 		}},
 	}
 	var base time.Duration
@@ -608,7 +608,7 @@ func Table7(opts Options) Table {
 		"ungoverned baseline", "-", "completes", mbPerSec(len(input), dPlain),
 		fmt.Sprintf("memo %d KB", full.MemoBytes/1024),
 	})
-	dGov := measure(opts.MinTime, func() { prog.ParseContext(ctx, src, vm.Limits{}) })
+	dGov := measure(opts.MinTime, func() { prog.ParseRequest(ctx, src, vm.Request{}) })
 	t.Rows = append(t.Rows, []string{
 		"governed, zero limits", "-", "completes", mbPerSec(len(input), dGov),
 		fmt.Sprintf("overhead %.2fx", float64(dGov)/float64(dPlain)),
@@ -617,18 +617,18 @@ func Table7(opts Options) Table {
 	// Memo-budget shedding: quarter of the corpus's natural footprint.
 	budget := full.MemoBytes / 4
 	session := prog.NewSession()
-	_, shedStats, err := session.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget})
+	_, shedStats, err := session.ParseRequest(ctx, src, vm.Request{Limits: vm.Limits{MaxMemoBytes: budget}})
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("shedding: %v", err))
 	} else {
-		dShed := measure(opts.MinTime, func() { session.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget}) })
+		dShed := measure(opts.MinTime, func() { session.ParseRequest(ctx, src, vm.Request{Limits: vm.Limits{MaxMemoBytes: budget}}) })
 		t.Rows = append(t.Rows, []string{
 			"memo budget (shedding)", fmt.Sprintf("%d KB", budget/1024),
 			"completes degraded", mbPerSec(len(input), dShed),
 			fmt.Sprintf("peak memo %d KB, sheds %d", shedStats.MemoBytes/1024, shedStats.MemoSheds),
 		})
 	}
-	if _, _, err := prog.ParseContext(ctx, src, vm.Limits{MaxMemoBytes: budget, Strict: true}); err != nil {
+	if _, _, err := prog.ParseRequest(ctx, src, vm.Request{Limits: vm.Limits{MaxMemoBytes: budget, Strict: true}}); err != nil {
 		t.Rows = append(t.Rows, []string{
 			"memo budget (strict)", fmt.Sprintf("%d KB", budget/1024),
 			outcomeOf(err), "-", "-",
@@ -642,7 +642,7 @@ func Table7(opts Options) Table {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
-	if _, _, err := calcProg.ParseContext(ctx, deep, vm.Limits{MaxCallDepth: 256}); err != nil {
+	if _, _, err := calcProg.ParseRequest(ctx, deep, vm.Request{Limits: vm.Limits{MaxCallDepth: 256}}); err != nil {
 		t.Rows = append(t.Rows, []string{
 			"call depth, 20000-deep parens", "256", outcomeOf(err), "-", "-",
 		})
@@ -670,7 +670,7 @@ func Table7(opts Options) Table {
 	var lastErr error
 	for i := 0; i < 10; i++ {
 		start := time.Now()
-		_, _, lastErr = pathProg.ParseContext(ctx, advSrc, vm.Limits{MaxParseDuration: time.Millisecond})
+		_, _, lastErr = pathProg.ParseRequest(ctx, advSrc, vm.Request{Limits: vm.Limits{MaxParseDuration: time.Millisecond}})
 		if d := time.Since(start); d > worst {
 			worst = d
 		}
@@ -724,7 +724,7 @@ func HotProds(opts Options) Table {
 	var stats vm.Stats
 	const reps = 3
 	for i := 0; i < reps; i++ {
-		_, st, err := prog.ParseWithHook(src, pr)
+		_, st, err := prog.ParseRequest(context.Background(), src, vm.Request{Hook: pr})
 		if err != nil {
 			t.Notes = append(t.Notes, err.Error())
 			return t
@@ -749,7 +749,7 @@ func HotProds(opts Options) Table {
 		"profile aggregates %d parses; total calls %d == engine stats calls %d",
 		reps, prof.TotalCalls(), stats.Calls))
 	dPlain := measure(opts.MinTime, func() { prog.Parse(src) })
-	dProf := measure(opts.MinTime, func() { prog.ParseWithHook(src, pr) })
+	dProf := measure(opts.MinTime, func() { prog.ParseRequest(context.Background(), src, vm.Request{Hook: pr}) })
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"profiler overhead: %.2fx (%s plain, %s profiled per parse)",
 		float64(dProf)/float64(dPlain), dPlain, dProf))
@@ -999,7 +999,7 @@ func Table9(opts Options) Table {
 		withMetrics := measure(opts.MinTime, func() { prog.Parse(src) })
 		traced := measure(opts.MinTime, func() {
 			tr := telemetry.NewTrace(prog, io.Discard)
-			prog.ParseWithHook(src, tr)
+			prog.ParseRequest(context.Background(), src, vm.Request{Hook: tr})
 			tr.Close()
 		})
 

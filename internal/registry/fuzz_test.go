@@ -70,7 +70,7 @@ func FuzzRegistryUpload(f *testing.F) {
 			t.Fatalf("acquire after upload: %v", err)
 		}
 		defer lease.Release()
-		if _, err := lease.Parser.ParseContext(context.Background(), "canary", "aa", lease.Limits); err != nil {
+		if _, _, err := lease.Parser.ParseRequest(context.Background(), "canary", "aa", modpeg.Request{Limits: lease.Limits}); err != nil {
 			t.Fatalf("active version v%d no longer parses the canary: %v", lease.Version, err)
 		}
 	})

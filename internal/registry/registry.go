@@ -570,7 +570,7 @@ func (r *Registry) smoke(parser *modpeg.Parser, probes []Probe, lim modpeg.Limit
 		if name == "" {
 			name = fmt.Sprintf("probe[%d]", i)
 		}
-		_, err := parser.ParseContext(context.Background(), name, p.Input, lim)
+		_, _, err := parser.ParseRequest(context.Background(), name, p.Input, modpeg.Request{Limits: lim})
 		if p.Fail {
 			var pe *modpeg.ParseError
 			if err == nil {

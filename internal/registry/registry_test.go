@@ -99,7 +99,7 @@ func parseWith(t *testing.T, r *Registry, tenant, name string, version int, inpu
 		t.Fatalf("acquire %s/%s@%d: %v", tenant, name, version, err)
 	}
 	defer lease.Release()
-	_, err = lease.Parser.ParseContext(context.Background(), "test", input, lease.Limits)
+	_, _, err = lease.Parser.ParseRequest(context.Background(), "test", input, modpeg.Request{Limits: lease.Limits})
 	if err != nil {
 		var pe *modpeg.ParseError
 		if !errors.As(err, &pe) {
@@ -325,6 +325,42 @@ func TestVersionPinAndRollback(t *testing.T) {
 	}
 }
 
+// TestDeleteForgetsSampledProfile pins that a deleted version's rolling
+// sampled profile goes with its counters, and that a lease which
+// outlives the delete cannot bring it back by releasing a sampled parse.
+func TestDeleteForgetsSampledProfile(t *testing.T) {
+	t.Cleanup(modpeg.ResetSampledProfiles)
+	one := 1
+	r := testRegistry(t, Config{})
+	mustUpload(t, r, "acme", "t.base", Upload{Source: baseV1, SampleEvery: &one})
+	label := Label("acme", "t.base", 1)
+	if !parseWith(t, r, "acme", "t.base", 1, "aa") {
+		t.Fatal(`v1 must accept "aa"`)
+	}
+	if _, ok := modpeg.SampledProfileFor(label); !ok {
+		t.Fatalf("no sampled profile for %s at 1-in-1", label)
+	}
+	lease, err := r.Acquire("acme", "t.base", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Delete("acme", "t.base", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := lease.Parser.ParseRequest(context.Background(), "late", "aa", modpeg.Request{Limits: lease.Limits}); err != nil {
+		t.Fatal(err)
+	}
+	lease.Release()
+	if _, ok := modpeg.SampledProfileFor(label); ok {
+		t.Errorf("sampled profile for deleted %s still registered", label)
+	}
+	for _, sp := range modpeg.SampledProfiles() {
+		if sp.Label == label {
+			t.Errorf("SampledProfiles still lists deleted %s", label)
+		}
+	}
+}
+
 func TestNoActivate(t *testing.T) {
 	r := testRegistry(t, Config{})
 	mustUpload(t, r, "acme", "t.base", Upload{Source: baseV1})
@@ -396,7 +432,7 @@ func TestTenantLimitsTightenOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	_, err = lease.Parser.ParseContext(context.Background(), "big", strings.Repeat("a", 50), lease.Limits)
+	_, _, err = lease.Parser.ParseRequest(context.Background(), "big", strings.Repeat("a", 50), modpeg.Request{Limits: lease.Limits})
 	var le *modpeg.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("oversized parse error = %v, want a limit error", err)
@@ -554,7 +590,7 @@ func TestSwapNeverMixed(t *testing.T) {
 }
 
 func parses(l *Lease, input string) bool {
-	_, err := l.Parser.ParseContext(context.Background(), "race", input, l.Limits)
+	_, _, err := l.Parser.ParseRequest(context.Background(), "race", input, modpeg.Request{Limits: l.Limits})
 	return err == nil
 }
 

@@ -201,6 +201,46 @@ func TestParseProductionOverride(t *testing.T) {
 	}
 }
 
+// TestColdParserConcurrentFirstRequests sends concurrent first requests
+// for one uncached (grammar, production) key, which build outside the
+// cache lock: every request succeeds, every caller gets the parser of
+// the first insert, and the cache ends with one parser for the key.
+func TestColdParserConcurrentFirstRequests(t *testing.T) {
+	s, err := New(Config{Grammars: []string{"calc.core"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const n = 8
+	got := make([]*modpeg.Parser, n)
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = s.parserFor("calc.core", "calc.core.Atom")
+			codes[i] = postParse(t, h, `{"grammar":"calc.core","production":"calc.core.Atom","input":"42"}`).Code
+		}(i)
+	}
+	wg.Wait()
+	s.mu.Lock()
+	cached := s.parsers[parserKey{"calc.core", "calc.core.Atom"}]
+	entries := len(s.parsers)
+	s.mu.Unlock()
+	if cached == nil || entries != 2 {
+		t.Fatalf("cache holds %d parsers (key cached: %v), want the configured one plus the new key", entries, cached != nil)
+	}
+	for i := range got {
+		if codes[i] != http.StatusOK {
+			t.Errorf("request %d: status %d", i, codes[i])
+		}
+		if got[i] != cached {
+			t.Errorf("caller %d got a parser other than the cached one", i)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	h := testServer(t, Config{Grammars: []string{"calc.core"}})
 	modpeg.ResetMetrics()
@@ -584,7 +624,7 @@ func TestParseResponseIdentity(t *testing.T) {
 			if c.req.Profile {
 				hook = ref.NewProfiler()
 			}
-			v, st, err := ref.ParseContextWithHook(context.Background(), "request", c.req.Input, lim, hook)
+			v, st, err := ref.ParseRequest(context.Background(), "request", c.req.Input, modpeg.Request{Limits: lim, Hook: hook})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,12 +140,13 @@ func New(cfg Config) (*Server, error) {
 }
 
 // parserFor returns the cached parser for (grammar, production),
-// compiling it on first use.
+// compiling it on first use outside s.mu; the first insert wins.
 func (s *Server) parserFor(grammar, production string) (*modpeg.Parser, error) {
 	key := parserKey{grammar, production}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.parsers[key]; ok {
+	p, ok := s.parsers[key]
+	s.mu.Unlock()
+	if ok {
 		return p, nil
 	}
 	opts := []modpeg.Option{}
@@ -169,8 +170,12 @@ func (s *Server) parserFor(grammar, production string) (*modpeg.Parser, error) {
 	if s.cfg.SampleEvery > 0 {
 		p.SetSampling(s.cfg.SampleEvery)
 	}
-	s.parsers[key] = p
-	return p, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.parsers[key]; !ok {
+		s.parsers[key] = p
+	}
+	return s.parsers[key], nil
 }
 
 // Grammars returns the sorted grammar list the service accepts, or nil
@@ -528,20 +533,15 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	}
 	lim := effectiveLimits(base, &req)
 
-	var (
-		val      modpeg.Value
-		st       modpeg.ParseStats
-		parseErr error
-		profiler *modpeg.Profiler
-	)
+	var profiler *modpeg.Profiler
 	traceID := traceIDFrom(r.Context())
 	start := time.Now()
+	preq := modpeg.Request{Limits: lim, TraceID: traceID}
 	if req.Profile {
 		profiler = p.NewProfiler()
-		val, st, parseErr = p.ParseContextTracedWithHook(r.Context(), name, req.Input, lim, traceID, profiler)
-	} else {
-		val, st, parseErr = p.ParseContextTraced(r.Context(), name, req.Input, lim, traceID)
+		preq.Hook = profiler
 	}
+	val, st, parseErr := p.ParseRequest(r.Context(), name, req.Input, preq)
 	elapsed := time.Since(start)
 	telemetry.LogParse(s.cfg.Logger, p.Label(), name, len(req.Input), elapsed, st, parseErr)
 	if trigger := flightTrigger(elapsed, slowParse, parseErr); trigger != "" {

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -45,7 +46,7 @@ func TestTraceGolden(t *testing.T) {
 	var b strings.Builder
 	tr := p.NewTraceJSON(&b)
 	tr.SetClock(counterClock())
-	if _, _, err := p.ParseWithHook("in", "xx", tr); err != nil {
+	if _, _, err := p.ParseRequest(context.Background(), "in", "xx", modpeg.Request{Hook: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -70,7 +71,7 @@ func TestTraceWellFormed(t *testing.T) {
 	}
 	var b strings.Builder
 	tr := p.NewTraceJSON(&b)
-	if _, _, err := p.ParseWithHook("in", "1+2*(3-4)", tr); err != nil {
+	if _, _, err := p.ParseRequest(context.Background(), "in", "1+2*(3-4)", modpeg.Request{Hook: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -136,7 +137,7 @@ func TestTraceCarriesTraceID(t *testing.T) {
 	tr := p.NewTraceJSON(&b)
 	tr.SetClock(counterClock())
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	if _, _, err := p.ParseContextTracedWithHook(t.Context(), "in", "xx", modpeg.Limits{}, traceID, tr); err != nil {
+	if _, _, err := p.ParseRequest(t.Context(), "in", "xx", modpeg.Request{Hook: tr, TraceID: traceID}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {

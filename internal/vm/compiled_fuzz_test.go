@@ -98,7 +98,7 @@ func FuzzCompiledParse(f *testing.F) {
 			MaxParseDuration: 50 * time.Millisecond,
 			Strict:           strict,
 		}
-		gv, gstats, gerr := p.comp.ParseContext(context.Background(), src, lim)
+		gv, gstats, gerr := p.comp.ParseRequest(context.Background(), src, Request{Limits: lim})
 		if gerr != nil {
 			var ee *EngineError
 			if errors.As(gerr, &ee) {

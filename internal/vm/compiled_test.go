@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -148,7 +149,7 @@ func TestCompiledConcurrentParseRace(t *testing.T) {
 					s.Parse(srcs[(k+1)%len(srcs)])
 					v, _, err = s.Parse(srcs[k])
 				default:
-					results := prog.ParseAll(srcs, 3)
+					results := prog.ParseAll(context.Background(), srcs, 3, Limits{})
 					if len(results) != len(srcs) {
 						t.Errorf("batch returned %d results", len(results))
 						return

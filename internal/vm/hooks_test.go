@@ -28,7 +28,8 @@ func buildTraceProg(t *testing.T) *Program {
 func traceOf(t *testing.T, prog *Program, input string, wantErr bool) string {
 	t.Helper()
 	var b strings.Builder
-	_, _, err := prog.ParseWithTrace(text.NewSource("in", input), &b)
+	_, _, err := prog.ParseRequest(context.Background(), text.NewSource("in", input),
+		Request{Hook: prog.NewCallTrace(&b)})
 	if wantErr != (err != nil) {
 		t.Fatalf("parse %q: err = %v, wantErr %v", input, err, wantErr)
 	}
@@ -123,7 +124,7 @@ func TestHookEventNesting(t *testing.T) {
 	for _, cfg := range engineConfigs {
 		prog := build(t, calcGrammar, cfg)
 		rec := &recordingHook{t: t}
-		_, stats, err := prog.ParseWithHook(src, rec)
+		_, stats, err := prog.ParseRequest(context.Background(), src, Request{Hook: rec})
 		if err != nil {
 			t.Fatalf("cfg %v: %v", cfg, err)
 		}
@@ -150,7 +151,7 @@ func TestHookEventNesting(t *testing.T) {
 func TestHookFailingParseStillBalanced(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	rec := &recordingHook{t: t}
-	if _, _, err := prog.ParseWithHook(text.NewSource("in", "1+*2"), rec); err == nil {
+	if _, _, err := prog.ParseRequest(context.Background(), text.NewSource("in", "1+*2"), Request{Hook: rec}); err == nil {
 		t.Fatal("expected syntax error")
 	}
 	if len(rec.stack) != 0 || rec.enters != rec.exits {
@@ -180,18 +181,18 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disabled instrumentation added %.1f allocs/op to session parse, want 0", allocs)
 	}
-	// The governed entry point with a plain background context and zero
-	// Limits must be indistinguishable: arming writes a handful of
-	// scalars and the edges never fire, so the nil-Limits ParseContext
-	// path keeps the same zero-allocation steady state.
+	// ParseRequest with a plain background context and a zero Request
+	// must be indistinguishable: arming writes a handful of scalars and
+	// the edges never fire, so it keeps the same zero-allocation steady
+	// state.
 	ctx := context.Background()
 	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
+		if _, _, err := s.ParseRequest(ctx, src, Request{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("nil-Limits ParseContext added %.1f allocs/op to session parse, want 0", allocs)
+		t.Errorf("zero-Request ParseRequest added %.1f allocs/op to session parse, want 0", allocs)
 	}
 	// The pooled path carries the same guarantee once the pool is warm —
 	// except under the race detector, which deliberately randomizes
@@ -212,7 +213,7 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disabled instrumentation added %.1f allocs/op to pooled parse, want 0", allocs)
 	}
-	// The traced entry point with sampling off and an empty trace ID is
+	// A pooled ParseRequest with sampling off and an empty trace ID is
 	// the serve layer's default hot path: the sampling decision is one
 	// atomic load in acquire and the exemplar branch one string
 	// comparison in finishStats — neither may allocate.
@@ -220,11 +221,11 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 		t.Fatalf("Sampling() = %d, want 0 by default", prog.Sampling())
 	}
 	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := prog.ParseContextTraced(ctx, src, Limits{}, ""); err != nil {
+		if _, _, err := prog.ParseRequest(ctx, src, Request{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("sampling-off untraced ParseContextTraced added %.1f allocs/op, want 0", allocs)
+		t.Errorf("sampling-off untraced ParseRequest added %.1f allocs/op, want 0", allocs)
 	}
 }

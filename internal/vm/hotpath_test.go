@@ -295,12 +295,12 @@ func TestPGODropsMemoColumns(t *testing.T) {
 }
 
 func TestProfilePGORoundTrip(t *testing.T) {
-	// ParseWithProfile → Profile.PGO → Compile: the profile-driven
+	// Profiler → Profile.PGO → Compile: the profile-driven
 	// inline set must parse identically, and LoadPGO must accept the
 	// JSON report and reject garbage.
 	plain := build(t, calcGrammar, Optimized())
 	src := text.NewSource("input", "1+2*3+(4*5)+6")
-	_, _, report, err := plain.ParseWithProfile(src)
+	_, _, report, err := parseProfiled(plain, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func (d *Document) Apply(edits ...Edit) (ast.Value, Stats, error) {
 	d.gens++
 	d.ps.gen = d.gens
 	d.ps.beginIncremental(src)
-	val, err := d.ps.run()
+	val, _, err := d.ps.run(false)
 	stats := d.ps.stats
 	if err != nil {
 		// Report failures exactly as a from-scratch parse would: reused
@@ -230,7 +230,7 @@ func (d *Document) canReuse() bool {
 // lookahead watermarks, and the generation counter.
 func (d *Document) fullParse(src *text.Source) {
 	d.ps.begin(src)
-	d.val, d.err = d.ps.run()
+	d.val, _, d.err = d.ps.run(false)
 	d.stats = d.ps.stats
 	d.txt = src.Content()
 	d.liveRows = d.stats.ChunkRows

@@ -3,7 +3,6 @@ package vm
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 	"sort"
@@ -241,7 +240,7 @@ type Parser struct {
 	// nil check per event site when disabled.
 	hook Hook
 
-	// Resource governance (limits.go), armed by ParseContext and reset
+	// Resource governance (limits.go), armed by parse and reset
 	// to the open defaults by begin. On the ungoverned path these cost
 	// one predictable comparison per governed edge and nothing on the
 	// per-terminal hot path.
@@ -276,7 +275,7 @@ type Parser struct {
 	sampler       *Profiler
 	sampledParses int64
 	// traceID is the W3C trace ID of a traced parse
-	// (ParseContextTraced); finishStats records it as a latency-bucket
+	// (Request.TraceID); finishStats records it as a latency-bucket
 	// exemplar. Empty (reset by begin) for untraced parses.
 	traceID string
 }
@@ -291,9 +290,28 @@ type prunedAlts struct {
 	mask uint64
 }
 
+// Request carries the per-call parameters of a parse. The zero value is
+// an ungoverned, unhooked, untraced parse; Parse is exactly that.
+type Request struct {
+	// Limits bounds the parse (see Limits); the zero value is unlimited.
+	Limits Limits
+	// Hook, when non-nil, receives the parse's events (see Hook): the
+	// call trace (NewCallTrace), the profiler (NewProfiler), or any
+	// other implementation. A nil Hook leaves a sampled checkout's
+	// profiler in place (see SetSampling). Never store a typed nil
+	// pointer here: a non-nil interface sends the parse to the
+	// interpreter, which calls it.
+	Hook Hook
+	// TraceID is the W3C trace ID of a traced parse: the hook hears it
+	// when it implements TraceContextHook, and the latency histogram
+	// records it as an exemplar. Empty for untraced parses.
+	TraceID string
+}
+
 // Parse runs the program over src, requiring the root production to match
 // and to consume the whole input. It returns the semantic value and the
-// parse statistics.
+// parse statistics. It is ParseRequest with a background context and a
+// zero Request.
 //
 // Parse draws its Parser from an internal pool, so a hot loop of parses
 // reaches a steady state with no parser-machinery allocations; see
@@ -301,20 +319,20 @@ type prunedAlts struct {
 // from multiple goroutines: the Program itself is read-only after Compile
 // and every call works on its own pooled Parser.
 func (p *Program) Parse(src *text.Source) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	ps.begin(src)
-	val, err := ps.run()
-	stats := ps.stats
-	p.release(ps)
-	return val, stats, err
+	return p.ParseRequest(context.Background(), src, Request{})
 }
 
-// ParseWithTrace is Parse with a human-readable call trace streamed to w:
-// one line per production entry, exit, and memo hit, indented by call
-// depth. Intended for grammar debugging, not production use. The trace
-// is an event hook (see Hook); ParseWithHook installs any other.
-func (p *Program) ParseWithTrace(src *text.Source, w io.Writer) (ast.Value, Stats, error) {
-	return p.ParseWithHook(src, newTraceHook(p, w))
+// ParseRequest is Parse under ctx and the parameters in req: the parse
+// aborts with a typed *LimitError when ctx is canceled, a deadline (ctx's
+// or req.Limits.MaxParseDuration's) passes, or a budget in req.Limits
+// blows, and degrades gracefully (shedding memoization) when the memo
+// budget is hit without Strict. A context without deadline or
+// cancellation and a zero Request keep the zero-allocation steady state.
+func (p *Program) ParseRequest(ctx context.Context, src *text.Source, req Request) (ast.Value, Stats, error) {
+	ps := p.acquire()
+	defer p.release(ps)
+	val, err := ps.parse(ctx, src, req)
+	return val, ps.stats, err
 }
 
 // ParsePrefix runs the program over src, requiring the root production to
@@ -322,11 +340,32 @@ func (p *Program) ParseWithTrace(src *text.Source, w io.Writer) (ast.Value, Stat
 // value, the number of bytes consumed, and the statistics.
 func (p *Program) ParsePrefix(src *text.Source) (ast.Value, int, Stats, error) {
 	ps := p.acquire()
+	defer p.release(ps)
 	ps.begin(src)
-	val, end, err := ps.runPrefix()
-	stats := ps.stats
-	p.release(ps)
-	return val, end, stats, err
+	val, end, err := ps.run(true)
+	return val, end, ps.stats, err
+}
+
+// parse is the one per-parse path behind every entry point: rewind for
+// src, install req.Hook (a nil Hook keeps a sampled checkout's
+// profiler), set the trace ID, arm the limits, and run. An arming
+// failure becomes the error return.
+func (ps *Parser) parse(ctx context.Context, src *text.Source, req Request) (ast.Value, error) {
+	ps.begin(src)
+	if req.Hook != nil {
+		ps.hook = req.Hook
+	}
+	ps.setTraceContext(req.TraceID)
+	if le := ps.arm(ctx, req.Limits); le != nil {
+		ps.finishStats()
+		metrics.limitStops.Add(1)
+		if g := ps.grammarTally(); g != nil {
+			g.limitStops.Add(1)
+		}
+		return nil, le
+	}
+	val, _, err := ps.run(false)
+	return val, err
 }
 
 // acquire returns a pooled Parser for p, making a fresh one when the pool
@@ -455,32 +494,21 @@ func (ps *Parser) enterRoot(pos int) (int, ast.Value, bool) {
 	return ps.parseProd(ps.prog.root, pos)
 }
 
-func (ps *Parser) run() (val ast.Value, err error) {
+// run parses the input from position 0 and returns the root's value and
+// the end of its match. Unless prefix is set, the match must consume the
+// whole input.
+func (ps *Parser) run(prefix bool) (val ast.Value, end int, err error) {
 	defer ps.contain(&val, &err)
 	end, val, ok := ps.enterRoot(0)
 	if !ok {
-		return nil, ps.syntaxError()
+		return nil, 0, ps.syntaxError()
 	}
-	if end != len(ps.in) {
+	if !prefix && end != len(ps.in) {
 		if end > ps.failPos {
 			ps.failPos = end
 			ps.failExpected = append(ps.failExpected[:0], "end of input")
 			ps.pruned = ps.pruned[:0]
 		}
-		return nil, ps.syntaxError()
-	}
-	ps.finishStats()
-	metrics.parsesCompleted.Add(1)
-	if g := ps.grammarTally(); g != nil {
-		g.completed.Add(1)
-	}
-	return val, nil
-}
-
-func (ps *Parser) runPrefix() (val ast.Value, end int, err error) {
-	defer ps.contain(&val, &err)
-	end, val, ok := ps.enterRoot(0)
-	if !ok {
 		return nil, 0, ps.syntaxError()
 	}
 	ps.finishStats()
@@ -519,7 +547,7 @@ func (ps *Parser) grammarTally() *grammarStats {
 }
 
 // finishStats is the single per-parse exit funnel: every parse — run
-// and runPrefix successes, syntax errors, limit stops, and contained
+// successes, syntax errors, limit stops, and contained
 // panics — crosses it exactly once, so the latency histogram is
 // observed here.
 func (ps *Parser) finishStats() {

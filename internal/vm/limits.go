@@ -41,8 +41,8 @@ import (
 
 // Limits bounds one parse. The zero value means unlimited; each budget
 // is enforced only when positive. Limits are independent of (and
-// combine with) the deadline and cancellation of a context passed to
-// ParseContext.
+// combine with) the deadline and cancellation of the context passed to
+// ParseRequest.
 type Limits struct {
 	// MaxInputBytes rejects inputs longer than this before parsing
 	// starts.
@@ -196,9 +196,9 @@ const pollEvery = 256
 
 // arm installs ctx and lim on a parser that begin has just rewound. It
 // returns a *LimitError immediately when the input already exceeds
-// MaxInputBytes or the context is already dead. The nil-context,
-// zero-Limits case leaves the parser exactly as ungoverned as plain
-// Parse — no time is read and nothing allocates.
+// MaxInputBytes or the context is already dead. A context without
+// deadline or cancellation and zero Limits leave the parser ungoverned —
+// no time is read and nothing allocates.
 func (ps *Parser) arm(ctx context.Context, lim Limits) *LimitError {
 	if lim.MaxInputBytes > 0 && len(ps.in) > lim.MaxInputBytes {
 		return &LimitError{Kind: LimitInput, Limit: int64(lim.MaxInputBytes), Actual: int64(len(ps.in))}
@@ -324,7 +324,7 @@ func (ps *Parser) shedMemo(pos int) {
 	}
 }
 
-// contain is the deferred recovery installed by run and runPrefix: a
+// contain is the deferred recovery installed by run: a
 // *LimitError thrown on a governance edge becomes the parse's error,
 // and any other interpreter panic is converted into an *EngineError
 // with the farthest position attached, so a grammar or engine bug (or a
@@ -353,52 +353,9 @@ func (ps *Parser) contain(val *ast.Value, err *error) {
 	*err = &EngineError{Panic: r, Pos: far, Stack: string(debug.Stack())}
 }
 
-// runContext arms the parser and runs it, folding an arming failure
-// into the error return. The caller has already called begin.
-func (ps *Parser) runContext(ctx context.Context, lim Limits) (ast.Value, error) {
-	if le := ps.arm(ctx, lim); le != nil {
-		ps.finishStats()
-		metrics.limitStops.Add(1)
-		if g := ps.grammarTally(); g != nil {
-			g.limitStops.Add(1)
-		}
-		return nil, le
-	}
-	return ps.run()
-}
-
-// ParseContext is Parse under a context and resource budgets: the parse
-// aborts with a typed *LimitError when ctx is canceled, a deadline
-// (ctx's or lim.MaxParseDuration's) passes, or a budget in lim blows —
-// and degrades gracefully (shedding memoization) when the memo budget
-// is hit without Strict. A nil-equivalent context (no deadline, no
-// cancellation) with zero Limits behaves exactly like Parse, including
-// the zero-allocation steady state.
+// ParseContext is ParseRequest with only limits set. It exists only
+// because the benchmark harness (perfbench) calls it; new code calls
+// ParseRequest.
 func (p *Program) ParseContext(ctx context.Context, src *text.Source, lim Limits) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
-}
-
-// ParseContext is Session.Parse under a context and resource budgets;
-// see Program.ParseContext.
-func (s *Session) ParseContext(ctx context.Context, src *text.Source, lim Limits) (ast.Value, Stats, error) {
-	s.ps.begin(src)
-	val, err := s.ps.runContext(ctx, lim)
-	return val, s.ps.stats, err
-}
-
-// ParseContextWithHook is ParseContext with h receiving the parse's
-// events — the governed variant of ParseWithHook, for callers (such as
-// a parse service) that want budgets, cancellation, and instrumentation
-// on the same pooled parse.
-func (p *Program) ParseContextWithHook(ctx context.Context, src *text.Source, lim Limits, h Hook) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	ps.hook = h
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
+	return p.ParseRequest(ctx, src, Request{Limits: lim})
 }

@@ -59,7 +59,7 @@ func FuzzParseContext(f *testing.F) {
 			Strict:           strict,
 		}
 		src := text.NewSource("fuzz", input)
-		v, stats, err := prog.ParseContext(context.Background(), src, lim)
+		v, stats, err := prog.ParseRequest(context.Background(), src, Request{Limits: lim})
 		if err != nil {
 			var ee *EngineError
 			if errors.As(err, &ee) {

@@ -45,13 +45,13 @@ func limitErr(t *testing.T, err error, kind LimitKind) *LimitError {
 func TestLimitInputBytes(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	src := text.NewSource("in", strings.Repeat("1+", 600)+"1")
-	_, _, err := prog.ParseContext(context.Background(), src, Limits{MaxInputBytes: 1000})
+	_, _, err := prog.ParseRequest(context.Background(), src, Request{Limits: Limits{MaxInputBytes: 1000}})
 	le := limitErr(t, err, LimitInput)
 	if le.Limit != 1000 || le.Actual != int64(src.Len()) {
 		t.Fatalf("limit error = %+v", le)
 	}
 	// Under the limit, the parse must behave exactly like Parse.
-	v, _, err := prog.ParseContext(context.Background(), src, Limits{MaxInputBytes: src.Len()})
+	v, _, err := prog.ParseRequest(context.Background(), src, Request{Limits: Limits{MaxInputBytes: src.Len()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestLimitInputBytes(t *testing.T) {
 func TestLimitCallDepth(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	deep := text.NewSource("in", nested(10000))
-	_, _, err := prog.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 500})
+	_, _, err := prog.ParseRequest(context.Background(), deep, Request{Limits: Limits{MaxCallDepth: 500}})
 	le := limitErr(t, err, LimitDepth)
 	if le.Limit != 500 {
 		t.Fatalf("limit error = %+v", le)
 	}
 	// A shallow input parses fine under the same budget.
-	if _, _, err := prog.ParseContext(context.Background(),
-		text.NewSource("in", nested(20)), Limits{MaxCallDepth: 500}); err != nil {
+	if _, _, err := prog.ParseRequest(context.Background(),
+		text.NewSource("in", nested(20)), Request{Limits: Limits{MaxCallDepth: 500}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +82,7 @@ func TestLimitDeadlineAdversarial(t *testing.T) {
 	// 1 ms deadline must stop it within the acceptance bound of 50 ms.
 	src := text.NewSource("in", pathological(40))
 	start := time.Now()
-	_, _, err := prog.ParseContext(context.Background(), src, Limits{MaxParseDuration: time.Millisecond})
+	_, _, err := prog.ParseRequest(context.Background(), src, Request{Limits: Limits{MaxParseDuration: time.Millisecond}})
 	elapsed := time.Since(start)
 	le := limitErr(t, err, LimitTime)
 	if !errors.Is(le, context.DeadlineExceeded) {
@@ -99,7 +99,7 @@ func TestLimitContextDeadline(t *testing.T) {
 	defer cancel()
 	src := text.NewSource("in", pathological(40))
 	start := time.Now()
-	_, _, err := prog.ParseContext(ctx, src, Limits{})
+	_, _, err := prog.ParseRequest(ctx, src, Request{})
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatalf("context deadline took %v to fire", time.Since(start))
 	}
@@ -122,7 +122,7 @@ func TestLimitCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := prog.ParseContext(ctx, text.NewSource("in", pathological(40)), Limits{})
+	_, _, err := prog.ParseRequest(ctx, text.NewSource("in", pathological(40)), Request{})
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatalf("cancellation took %v to be honored", time.Since(start))
 	}
@@ -136,7 +136,7 @@ func TestLimitPreCanceledContext(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := prog.ParseContext(ctx, text.NewSource("in", "1+2"), Limits{})
+	_, _, err := prog.ParseRequest(ctx, text.NewSource("in", "1+2"), Request{})
 	limitErr(t, err, LimitCanceled)
 }
 
@@ -158,11 +158,9 @@ func TestMemoShedding(t *testing.T) {
 	budget := full.MemoBytes / 4
 	ResetMetrics()
 	shedHook := &recordingShedHook{}
-	ps := prog.NewSession().ps
-	ps.begin(src)
-	ps.hook = shedHook // installed post-begin so the shed event is observable
-	v, err := ps.runContext(context.Background(), Limits{MaxMemoBytes: budget})
-	stats := ps.stats
+	s := prog.NewSession()
+	v, stats, err := s.ParseRequest(context.Background(), src,
+		Request{Limits: Limits{MaxMemoBytes: budget}, Hook: shedHook})
 	if err != nil {
 		t.Fatalf("degraded parse failed: %v", err)
 	}
@@ -208,7 +206,7 @@ func TestMemoSheddingMapMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := full.MemoBytes / 4
-	v, stats, err := prog.ParseContext(context.Background(), src, Limits{MaxMemoBytes: budget})
+	v, stats, err := prog.ParseRequest(context.Background(), src, Request{Limits: Limits{MaxMemoBytes: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +227,8 @@ func TestMemoBudgetLeavesNoEmptyRow(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	chunkCount := (prog.memoCols + chunkSize - 1) / chunkSize
 	budget := chunkCount*8 + chunkSize*memoEntrySize - 1
-	_, stats, err := prog.ParseContext(context.Background(),
-		text.NewSource("in", "(1+2)*3-4"), Limits{MaxMemoBytes: budget})
+	_, stats, err := prog.ParseRequest(context.Background(),
+		text.NewSource("in", "(1+2)*3-4"), Request{Limits: Limits{MaxMemoBytes: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +246,8 @@ func TestStrictMemoLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetMetrics()
-	_, _, err = prog.ParseContext(context.Background(), src,
-		Limits{MaxMemoBytes: full.MemoBytes / 4, Strict: true})
+	_, _, err = prog.ParseRequest(context.Background(), src,
+		Request{Limits: Limits{MaxMemoBytes: full.MemoBytes / 4, Strict: true}})
 	le := limitErr(t, err, LimitMemo)
 	if le.Actual <= le.Limit {
 		t.Fatalf("limit error = %+v", le)
@@ -275,7 +273,7 @@ func (h *panicHook) OnFail(prod, pos int)                  {}
 func TestPanicContainment(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ResetMetrics()
-	_, _, err := prog.ParseWithHook(text.NewSource("in", "1+2*3"), &panicHook{after: 5})
+	_, _, err := prog.ParseRequest(context.Background(), text.NewSource("in", "1+2*3"), Request{Hook: &panicHook{after: 5}})
 	var ee *EngineError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *EngineError", err, err)
@@ -301,7 +299,7 @@ func TestLimitsDoNotLeakAcrossParses(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	s := prog.NewSession()
 	deep := text.NewSource("in", nested(3000))
-	if _, _, err := s.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 100}); err == nil {
+	if _, _, err := s.ParseRequest(context.Background(), deep, Request{Limits: Limits{MaxCallDepth: 100}}); err == nil {
 		t.Fatal("expected depth limit")
 	}
 	// Same session, no limits: must parse the same input fine.
@@ -309,7 +307,7 @@ func TestLimitsDoNotLeakAcrossParses(t *testing.T) {
 		t.Fatalf("session still governed after limit stop: %v", err)
 	}
 	// And a fresh governed parse with generous budgets succeeds.
-	if _, _, err := s.ParseContext(context.Background(), deep, Limits{MaxCallDepth: 100000}); err != nil {
+	if _, _, err := s.ParseRequest(context.Background(), deep, Request{Limits: Limits{MaxCallDepth: 100000}}); err != nil {
 		t.Fatalf("generous budgets failed: %v", err)
 	}
 }
@@ -327,7 +325,7 @@ func TestParseAllContextCancelDrains(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := prog.ParseAllContext(ctx, srcs, 4, Limits{})
+	results := prog.ParseAll(ctx, srcs, 4, Limits{})
 	elapsed := time.Since(start)
 	if elapsed > 250*time.Millisecond {
 		t.Fatalf("cancellation drained the pool in %v, want <250ms", elapsed)
@@ -351,7 +349,7 @@ func TestConcurrentCancellation(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			_, _, err := prog.ParseContext(ctx, text.NewSource("in", pathological(40)), Limits{})
+			_, _, err := prog.ParseRequest(ctx, text.NewSource("in", pathological(40)), Request{})
 			done <- err
 		}()
 	}
@@ -377,15 +375,15 @@ func TestParseAllContextPerInputLimits(t *testing.T) {
 		text.NewSource("big", strings.Repeat("1+", 200)+"1"),
 		text.NewSource("small2", "3*4"),
 	}
-	results := prog.ParseAllContext(context.Background(), srcs, 2, Limits{MaxInputBytes: 64})
+	results := prog.ParseAll(context.Background(), srcs, 2, Limits{MaxInputBytes: 64})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("small inputs failed: %v / %v", results[0].Err, results[2].Err)
 	}
 	limitErr(t, results[1].Err, LimitInput)
 }
 
-// TestGovernedZeroAllocs pins the acceptance bound: the nil-Limits,
-// background-context governed path must keep the zero-allocation
+// TestGovernedZeroAllocs pins the acceptance bound: ParseRequest with a
+// background context, zero or budget-only, must keep the zero-allocation
 // steady state of the session layer.
 func TestGovernedZeroAllocs(t *testing.T) {
 	input := strings.Repeat("(1+2)*3-4+", 200) + "6"
@@ -393,30 +391,30 @@ func TestGovernedZeroAllocs(t *testing.T) {
 	prog := build(t, voidCalcGrammar, Optimized())
 	s := prog.NewSession()
 	ctx := context.Background()
-	if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
+	if _, _, err := s.ParseRequest(ctx, src, Request{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, Limits{}); err != nil {
+		if _, _, err := s.ParseRequest(ctx, src, Request{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("nil-Limits ParseContext allocates %.1f/op, want 0", allocs)
+		t.Errorf("zero-Request ParseRequest allocates %.1f/op, want 0", allocs)
 	}
 	// Budget-only limits (no deadline) stay allocation-free too: arming
 	// writes scalars and never reads the clock.
 	lim := Limits{MaxInputBytes: 1 << 20, MaxMemoBytes: 1 << 30, MaxCallDepth: 1 << 20}
-	if _, _, err := s.ParseContext(ctx, src, lim); err != nil {
+	if _, _, err := s.ParseRequest(ctx, src, Request{Limits: lim}); err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ParseContext(ctx, src, lim); err != nil {
+		if _, _, err := s.ParseRequest(ctx, src, Request{Limits: lim}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("budget-governed ParseContext allocates %.1f/op, want 0", allocs)
+		t.Errorf("budget-governed ParseRequest allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -444,7 +442,7 @@ func TestLimitErrorStrings(t *testing.T) {
 	}
 }
 
-// TestPrefixGoverned covers the runPrefix containment path.
+// TestPrefixGoverned covers the containment path of a prefix run.
 func TestPrefixGoverned(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	ps := prog.NewSession().ps
@@ -452,7 +450,7 @@ func TestPrefixGoverned(t *testing.T) {
 	if le := ps.arm(context.Background(), Limits{MaxCallDepth: 100}); le != nil {
 		t.Fatal(le)
 	}
-	_, _, err := ps.runPrefix()
+	_, _, err := ps.run(true)
 	limitErr(t, err, LimitDepth)
 }
 

@@ -277,7 +277,8 @@ func LatencyBounds() []int64 { return append([]int64(nil), parseDurationBounds..
 // grammarStats is one grammar label's counter set. Programs hold a
 // resolved pointer (see Program.SetLabel), so hot-path recording is
 // plain atomic adds — the label registry's mutex is only taken at
-// compile/SetLabel/snapshot/reset time.
+// compile/SetLabel/snapshot/reset time and when a sampled checkout is
+// released.
 type grammarStats struct {
 	label      string
 	started    atomic.Int64
@@ -285,6 +286,9 @@ type grammarStats struct {
 	failed     atomic.Int64
 	limitStops atomic.Int64
 	inputBytes atomic.Int64
+	// sampled is the label's rolling sampled profile (sample.go), nil
+	// until a sampled parse folds into it. Guarded by grammarsMu.
+	sampled *sampledEntry
 }
 
 var (
@@ -307,12 +311,12 @@ func grammarStatsFor(label string) *grammarStats {
 	return g
 }
 
-// ForgetLabel unregisters label's counter set, so it is no longer
-// exported. A Program still labeled with it keeps counting, unexported;
-// a later SetLabel of the same label starts a fresh set. The grammar
-// registry forgets a version's label when it deletes the version, so a
-// long-running server under upload churn holds counters only for the
-// versions it still has.
+// ForgetLabel unregisters label's counter set and its rolling sampled
+// profile, so neither is exported. A Program still labeled with it
+// keeps counting, unexported; a later SetLabel of the same label starts
+// a fresh set. The grammar registry forgets a version's label when it
+// deletes the version, so a long-running server under upload churn
+// holds counters only for the versions it still has.
 func ForgetLabel(label string) {
 	grammarsMu.Lock()
 	defer grammarsMu.Unlock()

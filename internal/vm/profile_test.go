@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -27,6 +28,14 @@ func buildWith(t *testing.T, body string, topts transform.Options, opts Options)
 	return prog
 }
 
+// parseProfiled parses src with a fresh Profiler installed and returns
+// the profile of that one parse.
+func parseProfiled(p *Program, src *text.Source) (ast.Value, Stats, *Profile, error) {
+	pr := p.NewProfiler()
+	val, stats, err := p.ParseRequest(context.Background(), src, Request{Hook: pr})
+	return val, stats, pr.Profile(), err
+}
+
 // TestProfileMatchesStats cross-checks the profiler against the
 // engine's own counters on every engine configuration: per-production
 // calls must sum to Stats.Calls, memo hits to Stats.MemoHits, memo
@@ -37,7 +46,7 @@ func TestProfileMatchesStats(t *testing.T) {
 	src := text.NewSource("in", "(1+2)*3 - 4*(5-6)")
 	for _, cfg := range engineConfigs {
 		prog := build(t, calcGrammar, cfg)
-		val, stats, prof, err := prog.ParseWithProfile(src)
+		val, stats, prof, err := parseProfiled(prog, src)
 		if err != nil {
 			t.Fatalf("cfg %v: %v", cfg, err)
 		}
@@ -82,7 +91,7 @@ func TestProfileMatchesStats(t *testing.T) {
 func TestProfileTimesAndFarthest(t *testing.T) {
 	src := text.NewSource("in", "1+2*3")
 	prog := build(t, calcGrammar, Optimized())
-	_, _, prof, err := prog.ParseWithProfile(src)
+	_, _, prof, err := parseProfiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ public S = B !. / A "y" !. ;
 B = A "x" ;
 A = $("aaa") ;
 `, transform.Baseline(), Options{Memoize: true})
-	_, _, prof, err := prog.ParseWithProfile(text.NewSource("in", "aaay"))
+	_, _, prof, err := parseProfiled(prog, text.NewSource("in", "aaay"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	pr := prog.NewProfiler()
 	var want int64
 	for _, in := range []string{"1+2", "3*4*5", "(1+2)*(3+4)", "7"} {
-		_, stats, err := s.ParseWithHook(text.NewSource("in", in), pr)
+		_, stats, err := s.ParseRequest(context.Background(), text.NewSource("in", in), Request{Hook: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +166,7 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	}
 	// Profile() snapshots without resetting: a later snapshot includes
 	// earlier parses.
-	if _, _, err := s.ParseWithHook(text.NewSource("in", "8+9"), pr); err != nil {
+	if _, _, err := s.ParseRequest(context.Background(), text.NewSource("in", "8+9"), Request{Hook: pr}); err != nil {
 		t.Fatal(err)
 	}
 	if got := pr.Profile().TotalCalls(); got <= want {
@@ -165,12 +174,14 @@ func TestProfilerAggregatesAcrossParses(t *testing.T) {
 	}
 }
 
-// TestParseAllProfiledAggregation fans a batch across workers and
-// checks the merged profile against the aggregated per-input stats —
-// run under -race by scripts/verify.sh, this also proves the workers'
-// profilers never share state.
+// TestParseAllProfiledAggregation fans a batch across workers with
+// sampling at 1-in-1 and checks the label's rolling profile against the
+// aggregated per-input stats — run under -race by scripts/verify.sh,
+// this also proves the workers' sampled profilers never share state.
 func TestParseAllProfiledAggregation(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
+	t.Cleanup(ResetSampledProfiles)
+	ctx := context.Background()
 	var srcs []*text.Source
 	for i := 0; i < 48; i++ {
 		in := fmt.Sprintf("%d+%d*%d", i, i+1, i+2)
@@ -180,26 +191,41 @@ func TestParseAllProfiledAggregation(t *testing.T) {
 		srcs = append(srcs, text.NewSource(fmt.Sprintf("in%d", i), in))
 	}
 	for _, workers := range []int{0, 1, 4, 64} {
-		results, prof := prog.ParseAllProfiled(srcs, workers)
+		plain := prog.ParseAll(ctx, srcs, workers, Limits{})
+		label := fmt.Sprintf("test/batch-profile-w%d@v1", workers)
+		prog.SetLabel(label)
+		prog.SetSampling(1)
+		results := prog.ParseAll(ctx, srcs, workers, Limits{})
+		prog.SetSampling(0)
 		if len(results) != len(srcs) {
 			t.Fatalf("workers=%d: %d results", workers, len(results))
 		}
-		total := TotalStats(results)
-		if got := prof.TotalCalls(); got != int64(total.Calls) {
-			t.Errorf("workers=%d: profile calls %d, stats calls %d", workers, got, total.Calls)
+		sp, ok := SampledProfileFor(label)
+		if !ok {
+			t.Fatalf("workers=%d: no sampled profile", workers)
 		}
-		var hits int64
-		for _, pp := range prof.Prods {
+		if sp.Parses != int64(len(srcs)) {
+			t.Errorf("workers=%d: sampled parses %d, want %d", workers, sp.Parses, len(srcs))
+		}
+		total := TotalStats(results)
+		var calls, hits int64
+		for _, pp := range sp.Productions {
+			calls += pp.Calls
 			hits += pp.MemoHits
+		}
+		if calls != int64(total.Calls) {
+			t.Errorf("workers=%d: profile calls %d, stats calls %d", workers, calls, total.Calls)
 		}
 		if hits != int64(total.MemoHits) {
 			t.Errorf("workers=%d: profile hits %d, stats hits %d", workers, hits, total.MemoHits)
 		}
-		// Results must match the unprofiled batch API.
-		plain := prog.ParseAll(srcs, workers)
+		// Results must match the unprofiled batch.
 		for i := range plain {
 			if (plain[i].Err == nil) != (results[i].Err == nil) {
 				t.Fatalf("workers=%d input %d: err drift", workers, i)
+			}
+			if !ast.Equal(plain[i].Value, results[i].Value) {
+				t.Fatalf("workers=%d input %d: value drift", workers, i)
 			}
 		}
 	}
@@ -209,11 +235,11 @@ func TestParseAllProfiledAggregation(t *testing.T) {
 func TestProfileAddAndTop(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	src := text.NewSource("in", "1+2*3")
-	_, _, a, err := prog.ParseWithProfile(src)
+	_, _, a, err := parseProfiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, b, err := prog.ParseWithProfile(src)
+	_, _, b, err := parseProfiled(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +270,7 @@ func TestProfileAddAndTop(t *testing.T) {
 // every production even when top-N truncates) and the JSON encoding.
 func TestProfileReportAndJSON(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
-	_, stats, prof, err := prog.ParseWithProfile(text.NewSource("in", "(1+2)*3-4"))
+	_, stats, prof, err := parseProfiled(prog, text.NewSource("in", "(1+2)*3-4"))
 	if err != nil {
 		t.Fatal(err)
 	}

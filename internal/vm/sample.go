@@ -3,18 +3,18 @@ package vm
 import (
 	"encoding/json"
 	"sort"
-	"sync"
 )
 
 // This file is the always-on sampled profiler: a process-cheap sampler
 // that attaches the per-production Profiler (profile.go) to 1-in-N
 // pooled parses and folds the results into per-grammar-label rolling
-// profiles. Where ParseWithProfile answers "what did this parse do,
-// production by production" for one explicitly profiled call, the
-// sampled registry answers "what has this grammar been doing in
-// production" without any caller opting in — the tail-forensics
-// companion to the latency histograms: once a grammar@version shows a
-// fat p999, its rolling profile names the productions burning the time.
+// profiles. Where a Profiler installed as Request.Hook answers "what
+// did this parse do, production by production" for one explicitly
+// profiled call, the sampled profiles answer "what has this grammar
+// been doing in production" without any caller opting in — the
+// tail-forensics companion to the latency histograms: once a
+// grammar@version shows a fat p999, its rolling profile names the
+// productions burning the time.
 //
 // Cost model: the sampling decision is one atomic load in acquire when
 // sampling is off (the default), preserving the zero-allocation steady
@@ -25,8 +25,15 @@ import (
 // so N should stay large enough that 1/N of traffic on the slower
 // engine is acceptable (the bench gate holds 1-in-100 to <= 2%
 // end-to-end). Merging into the rolling profile happens at release
-// time under a mutex keyed by grammar label; at 1-in-N traffic the
-// lock is uncontended.
+// time under the label registry's mutex; at 1-in-N traffic the lock is
+// uncontended.
+//
+// A label's rolling profile lives on its per-grammar counter set
+// (grammarStats, metrics.go), which the Program already points at, so
+// the label registry is the one index of both: ForgetLabel drops a
+// deleted version's profile with its counters, and a sampled parser
+// released after that folds into the orphaned set, never back into the
+// export.
 //
 // Sessions (NewSession) bypass the pool and are never sampled: a
 // resident session is an explicitly managed parser whose owner can
@@ -34,9 +41,10 @@ import (
 
 // SampledProfile is the rolling profile of one grammar label,
 // aggregated across every sampled parse since process start (or the
-// last ResetSampledProfiles). Productions are keyed by name, not
-// production index, so profiles survive hot-swapped recompiles of the
-// same label and aggregate across Programs that share one.
+// last ResetSampledProfiles or ForgetLabel). Productions are keyed by
+// name, not production index, so profiles survive hot-swapped
+// recompiles of the same label and aggregate across Programs that share
+// one.
 type SampledProfile struct {
 	// Label is the grammar label (Program.SetLabel; "tenant/name@vN"
 	// under the registry).
@@ -54,13 +62,8 @@ type sampledEntry struct {
 	prods  map[string]*ProdProfile
 }
 
-var (
-	sampledMu  sync.Mutex
-	sampledReg = make(map[string]*sampledEntry)
-)
-
 // SetSampling sets this program's sampling rate: every n-th pooled
-// parse (Parse/ParseContext and friends — not explicit Sessions) runs
+// parse (Parse, ParseRequest, ParseAll — not explicit Sessions) runs
 // with a borrowed Profiler and is folded into the label's rolling
 // SampledProfile. n <= 0 disables sampling (the default); n == 1
 // profiles every pooled parse. Safe to call concurrently with parses —
@@ -89,12 +92,12 @@ func (p *Program) sampledProfiler() *Profiler {
 // Called from release, so a checkout that served several begins (batch
 // workers) merges once with its whole aggregate.
 func (p *Program) finishSample(pr *Profiler, parses int64) {
-	label := p.Label()
-	sampledMu.Lock()
-	e := sampledReg[label]
+	g := p.gstats.Load() // never nil: Compile labels every Program
+	grammarsMu.Lock()
+	e := g.sampled
 	if e == nil {
 		e = &sampledEntry{prods: make(map[string]*ProdProfile)}
-		sampledReg[label] = e
+		g.sampled = e
 	}
 	e.parses += parses
 	for i := range pr.p.Prods {
@@ -113,13 +116,13 @@ func (p *Program) finishSample(pr *Profiler, parses int64) {
 		}
 		agg.add(row)
 	}
-	sampledMu.Unlock()
+	grammarsMu.Unlock()
 	pr.reset()
 	p.profPool.Put(pr)
 }
 
 // snapshotSampled copies one entry into its public form, hottest
-// production first. Caller holds sampledMu.
+// production first. Caller holds grammarsMu.
 func snapshotSampledLocked(label string, e *sampledEntry) SampledProfile {
 	rows := make([]ProdProfile, 0, len(e.prods))
 	for _, pp := range e.prods {
@@ -135,36 +138,41 @@ func snapshotSampledLocked(label string, e *sampledEntry) SampledProfile {
 // sampled parses recorded no production activity are included (Parses
 // counts, Productions empty) so a sampled-but-idle grammar is visible.
 func SampledProfiles() []SampledProfile {
-	sampledMu.Lock()
-	defer sampledMu.Unlock()
-	out := make([]SampledProfile, 0, len(sampledReg))
-	for label, e := range sampledReg {
-		out = append(out, snapshotSampledLocked(label, e))
+	grammarsMu.Lock()
+	defer grammarsMu.Unlock()
+	out := []SampledProfile{}
+	for label, g := range grammarsReg {
+		if g.sampled != nil {
+			out = append(out, snapshotSampledLocked(label, g.sampled))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
 
 // SampledProfileFor snapshots one label's rolling profile. ok is false
-// when the label has never been sampled.
+// when the label has never been sampled or has been forgotten
+// (ForgetLabel).
 func SampledProfileFor(label string) (SampledProfile, bool) {
-	sampledMu.Lock()
-	defer sampledMu.Unlock()
-	e := sampledReg[label]
-	if e == nil {
+	grammarsMu.Lock()
+	defer grammarsMu.Unlock()
+	g := grammarsReg[label]
+	if g == nil || g.sampled == nil {
 		return SampledProfile{}, false
 	}
-	return snapshotSampledLocked(label, e), true
+	return snapshotSampledLocked(label, g.sampled), true
 }
 
 // ResetSampledProfiles drops every rolling sampled profile — the
 // windowed-scrape companion to ResetMetrics (which deliberately leaves
-// the sampled registry alone: histogram windows and profile windows
+// the sampled profiles alone: histogram windows and profile windows
 // reset independently).
 func ResetSampledProfiles() {
-	sampledMu.Lock()
-	defer sampledMu.Unlock()
-	clear(sampledReg)
+	grammarsMu.Lock()
+	defer grammarsMu.Unlock()
+	for _, g := range grammarsReg {
+		g.sampled = nil
+	}
 }
 
 // SampledProfilesJSON renders the full sampled-profile snapshot, the

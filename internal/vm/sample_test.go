@@ -129,7 +129,7 @@ func TestTraceContextHookNotified(t *testing.T) {
 	rec := &traceRecorder{recordingHook: recordingHook{t: t}}
 	ctx := context.Background()
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, traceID, rec); err != nil {
+	if _, _, err := prog.ParseRequest(ctx, src, Request{Hook: rec, TraceID: traceID}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.traceIDs) != 1 || rec.traceIDs[0] != traceID {
@@ -138,13 +138,13 @@ func TestTraceContextHookNotified(t *testing.T) {
 	// An untraced parse fires no notification, and a hook without the
 	// optional interface is simply not called.
 	rec.traceIDs = nil
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, "", rec); err != nil {
+	if _, _, err := prog.ParseRequest(ctx, src, Request{Hook: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.traceIDs) != 0 {
 		t.Errorf("empty trace ID still notified: %v", rec.traceIDs)
 	}
-	if _, _, err := prog.ParseContextTracedWithHook(ctx, src, Limits{}, traceID, &recordingHook{t: t}); err != nil {
+	if _, _, err := prog.ParseRequest(ctx, src, Request{Hook: &recordingHook{t: t}, TraceID: traceID}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,16 +34,16 @@ func (p *Program) NewSession() *Session {
 // previous parse's memo state is recycled, never consulted: results and
 // statistics are identical to a cold parse.
 func (s *Session) Parse(src *text.Source) (ast.Value, Stats, error) {
-	s.ps.begin(src)
-	val, err := s.ps.run()
-	return val, s.ps.stats, err
+	return s.ParseRequest(context.Background(), src, Request{})
 }
 
-// ParsePrefix is Program.ParsePrefix on the reusable session context.
-func (s *Session) ParsePrefix(src *text.Source) (ast.Value, int, Stats, error) {
-	s.ps.begin(src)
-	val, end, err := s.ps.runPrefix()
-	return val, end, s.ps.stats, err
+// ParseRequest is Program.ParseRequest on the reusable session context.
+// req.Hook is installed for this parse only; the same hook may be passed
+// to consecutive parses to aggregate across them.
+func (s *Session) ParseRequest(ctx context.Context, src *text.Source, req Request) (ast.Value, Stats, error) {
+	val, err := s.ps.parse(ctx, src, req)
+	s.ps.hook = nil
+	return val, s.ps.stats, err
 }
 
 // Program returns the program the session executes.
@@ -66,25 +66,22 @@ func TotalStats(results []Result) Stats {
 	return total
 }
 
-// ParseAll parses every source concurrently and returns one Result per
-// input. The contract is order-preserving: results[i] is the outcome of
-// srcs[i], regardless of which worker parsed it or when it finished.
+// ParseAll parses every source concurrently under ctx and per-input
+// resource budgets (see Limits), and returns one Result per input. The
+// contract is order-preserving: results[i] is the outcome of srcs[i],
+// regardless of which worker parsed it or when it finished.
 //
 // workers bounds the number of parsing goroutines; values <= 0 select
 // GOMAXPROCS. Each worker draws its own pooled parse session, so the
 // inputs share nothing but the read-only Program, and a steady stream of
 // batches reuses the same sessions.
-func (p *Program) ParseAll(srcs []*text.Source, workers int) []Result {
-	return p.ParseAllContext(context.Background(), srcs, workers, Limits{})
-}
-
-// ParseAllContext is ParseAll under a context and per-input resource
-// budgets (see Limits and Program.ParseContext). Cancellation drains
-// the worker pool promptly: inputs whose parse is in flight abort on
-// the next governance poll, and inputs not yet started are marked with
-// a *LimitError without being parsed at all. Every result slot is
-// filled either way — results[i].Err reports what happened to srcs[i].
-func (p *Program) ParseAllContext(ctx context.Context, srcs []*text.Source, workers int, lim Limits) []Result {
+//
+// Cancellation drains the worker pool promptly: inputs whose parse is in
+// flight abort on the next governance poll, and inputs not yet started
+// are marked with a *LimitError without being parsed at all. Every
+// result slot is filled either way — results[i].Err reports what
+// happened to srcs[i].
+func (p *Program) ParseAll(ctx context.Context, srcs []*text.Source, workers int, lim Limits) []Result {
 	results := make([]Result, len(srcs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -100,8 +97,7 @@ func (p *Program) ParseAllContext(ctx context.Context, srcs []*text.Source, work
 				return
 			}
 		}
-		ps.begin(srcs[i])
-		val, err := ps.runContext(ctx, lim)
+		val, err := ps.parse(ctx, srcs[i], Request{Limits: lim})
 		results[i] = Result{Value: val, Stats: ps.stats, Err: err}
 	}
 	if workers <= 1 {

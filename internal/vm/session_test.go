@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -63,7 +64,11 @@ func TestSessionReuseMatchesColdParse(t *testing.T) {
 func TestPooledParseMatchesSessionParse(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	src := text.NewSource("in", "1+2*(3-4)")
-	refVal, refStats, err := prog.NewSession().Parse(src)
+	s := prog.NewSession()
+	if s.Program() != prog {
+		t.Fatal("Program identity")
+	}
+	refVal, refStats, err := s.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +81,6 @@ func TestPooledParseMatchesSessionParse(t *testing.T) {
 		if !ast.Equal(v, refVal) || st != refStats {
 			t.Fatalf("iteration %d drift: %s / %v", i, ast.Format(v), st)
 		}
-	}
-}
-
-func TestSessionParsePrefix(t *testing.T) {
-	prog := build(t, "public S = \"ab\" ;\n", Optimized())
-	s := prog.NewSession()
-	for i := 0; i < 3; i++ {
-		_, n, _, err := s.ParsePrefix(text.NewSource("in", "abc"))
-		if err != nil || n != 2 {
-			t.Fatalf("n = %d, err = %v", n, err)
-		}
-	}
-	if _, _, _, err := s.ParsePrefix(text.NewSource("in", "xx")); err == nil {
-		t.Fatal("prefix mismatch must fail")
-	}
-	if s.Program() != prog {
-		t.Fatal("Program identity")
 	}
 }
 
@@ -160,7 +148,7 @@ func TestParseAllOrderContract(t *testing.T) {
 		wantOK = append(wantOK, ok)
 	}
 	for _, workers := range []int{0, 1, 3, 128} {
-		results := prog.ParseAll(srcs, workers)
+		results := prog.ParseAll(context.Background(), srcs, workers, Limits{})
 		if len(results) != len(srcs) {
 			t.Fatalf("workers=%d: %d results for %d inputs", workers, len(results), len(srcs))
 		}
@@ -181,7 +169,7 @@ func TestParseAllOrderContract(t *testing.T) {
 			}
 		}
 	}
-	if results := prog.ParseAll(nil, 4); len(results) != 0 {
+	if results := prog.ParseAll(context.Background(), nil, 4, Limits{}); len(results) != 0 {
 		t.Fatalf("empty batch: %d results", len(results))
 	}
 }
@@ -192,7 +180,7 @@ func TestTotalStats(t *testing.T) {
 		text.NewSource("a", "1+2"),
 		text.NewSource("b", "3*4*5"),
 	}
-	results := prog.ParseAll(srcs, 1)
+	results := prog.ParseAll(context.Background(), srcs, 1, Limits{})
 	total := TotalStats(results)
 	var want Stats
 	for _, src := range srcs {
@@ -237,7 +225,7 @@ func TestConcurrentParseRace(t *testing.T) {
 					s.Parse(srcs[(g+i)%len(srcs)])
 					s.Parse(srcs[(g+i+1)%len(srcs)])
 				default:
-					results := prog.ParseAll(srcs, 3)
+					results := prog.ParseAll(context.Background(), srcs, 3, Limits{})
 					if len(results) != len(srcs) {
 						t.Errorf("batch returned %d results", len(results))
 						return

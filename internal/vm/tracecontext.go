@@ -1,12 +1,5 @@
 package vm
 
-import (
-	"context"
-
-	"modpeg/internal/ast"
-	"modpeg/internal/text"
-)
-
 // This file threads a distributed-trace identity through a parse: the
 // serve layer accepts (or mints) a W3C traceparent per request and arms
 // the parse with its trace ID, which then (a) reaches the installed
@@ -14,16 +7,16 @@ import (
 // exporter stamps its stream with it — and (b) is recorded as an
 // exemplar on the latency-histogram bucket the parse lands in, so a
 // scrape of the tail buckets carries real trace IDs to chase instead
-// of anonymous counts. An empty trace ID (the default, and every parse
-// outside the traced entry points) changes nothing: begin resets the
-// field with a scalar write and finishStats checks it with one string
-// comparison, so the untraced path stays allocation-free.
+// of anonymous counts. An empty Request.TraceID (the default) changes
+// nothing: begin resets the field with a scalar write and finishStats
+// checks it with one string comparison, so the untraced path stays
+// allocation-free.
 
 // TraceContextHook is an optional extension of Hook (like ShedHook):
 // when the installed hook also implements it, a traced parse
-// (ParseContextTraced and friends) reports its W3C trace ID once,
-// before the first parse event, so event streams can be correlated
-// with distributed traces. Untraced parses never fire it.
+// (Request.TraceID set) reports its W3C trace ID once, before the first
+// parse event, so event streams can be correlated with distributed
+// traces. Untraced parses never fire it.
 type TraceContextHook interface {
 	Hook
 	OnTraceContext(traceID string)
@@ -40,31 +33,4 @@ func (ps *Parser) setTraceContext(traceID string) {
 	if h, ok := ps.hook.(TraceContextHook); ok {
 		h.OnTraceContext(traceID)
 	}
-}
-
-// ParseContextTraced is ParseContext carrying a trace ID: the parse's
-// latency-histogram observation records (trace ID, grammar label,
-// duration) as an exemplar on the bucket it lands in. An empty traceID
-// makes this exactly ParseContext, zero-allocation steady state
-// included.
-func (p *Program) ParseContextTraced(ctx context.Context, src *text.Source, lim Limits, traceID string) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	ps.setTraceContext(traceID)
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
-}
-
-// ParseContextTracedWithHook is ParseContextWithHook carrying a trace
-// ID; when h implements TraceContextHook it receives the ID before any
-// parse event.
-func (p *Program) ParseContextTracedWithHook(ctx context.Context, src *text.Source, lim Limits, traceID string, h Hook) (ast.Value, Stats, error) {
-	ps := p.acquire()
-	defer p.release(ps)
-	ps.begin(src)
-	ps.hook = h
-	ps.setTraceContext(traceID)
-	val, err := ps.runContext(ctx, lim)
-	return val, ps.stats, err
 }

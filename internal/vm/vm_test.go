@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -443,7 +444,8 @@ A = "a"? ;
 func TestParseWithTrace(t *testing.T) {
 	prog := build(t, calcGrammar, Optimized())
 	var buf strings.Builder
-	v, _, err := prog.ParseWithTrace(text.NewSource("in", "1+1"), &buf)
+	hook := prog.NewCallTrace(&buf)
+	v, _, err := prog.ParseRequest(context.Background(), text.NewSource("in", "1+1"), Request{Hook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +460,7 @@ func TestParseWithTrace(t *testing.T) {
 	}
 	// Trace on failure shows the failing exits.
 	buf.Reset()
-	_, _, err = prog.ParseWithTrace(text.NewSource("in", "1+"), &buf)
+	_, _, err = prog.ParseRequest(context.Background(), text.NewSource("in", "1+"), Request{Hook: hook})
 	if err == nil {
 		t.Fatal("must fail")
 	}

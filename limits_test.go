@@ -38,8 +38,8 @@ func TestAdversarialDeadline(t *testing.T) {
 	p := pathologicalParser(t)
 	input := workload.Pathological(40)
 	start := time.Now()
-	_, err := p.ParseContext(context.Background(), "adversarial", input,
-		Limits{MaxParseDuration: time.Millisecond})
+	_, _, err := p.ParseRequest(context.Background(), "adversarial", input,
+		Request{Limits: Limits{MaxParseDuration: time.Millisecond}})
 	elapsed := time.Since(start)
 	var le *LimitError
 	if !errors.As(err, &le) || le.Kind != LimitTime {
@@ -81,7 +81,7 @@ func TestAdversarialCorpusUnderLimits(t *testing.T) {
 				// of degrading (shedding is covered below).
 				lim, want = Limits{MaxMemoBytes: 64 << 10, Strict: true}, LimitMemo
 			}
-			_, err := p.ParseContext(ctx, a.Name, a.Input, lim)
+			_, _, err := p.ParseRequest(ctx, a.Name, a.Input, Request{Limits: lim})
 			var le *LimitError
 			if !errors.As(err, &le) || le.Kind != want {
 				t.Fatalf("%s under %s limit: err = %v, want kind %v", a.Name, a.Attacks, err, want)
@@ -93,11 +93,11 @@ func TestAdversarialCorpusUnderLimits(t *testing.T) {
 			if a.Attacks == "time" {
 				return
 			}
-			if _, err := p.ParseContext(ctx, a.Name, a.Input, Limits{
+			if _, _, err := p.ParseRequest(ctx, a.Name, a.Input, Request{Limits: Limits{
 				MaxCallDepth:     1 << 20,
 				MaxMemoBytes:     1 << 30,
 				MaxParseDuration: 2 * time.Minute,
-			}); err != nil {
+			}}); err != nil {
 				t.Fatalf("%s rejected under generous budgets: %v", a.Name, err)
 			}
 		})
@@ -120,15 +120,15 @@ func TestMemoSheddingBoundsFootprint(t *testing.T) {
 			if a.Module != mod || a.Attacks != "memory" {
 				continue
 			}
-			want, full, err := s.ParseWithStats(a.Name, a.Input)
+			want, full, err := s.ParseRequest(context.Background(), a.Name, a.Input, Request{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if full.MemoBytes <= budget {
 				t.Fatalf("%s: input too small to need shedding (%d memo bytes)", a.Name, full.MemoBytes)
 			}
-			v, stats, err := s.ParseContext(context.Background(), a.Name, a.Input,
-				Limits{MaxMemoBytes: budget})
+			v, stats, err := s.ParseRequest(context.Background(), a.Name, a.Input,
+				Request{Limits: Limits{MaxMemoBytes: budget}})
 			if err != nil {
 				t.Fatalf("%s: degraded parse failed: %v", a.Name, err)
 			}
@@ -151,7 +151,7 @@ func TestInputSizeLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := workload.Expression(workload.Config{Seed: 3, Size: 1 << 16})
-	_, err = p.ParseContext(context.Background(), "big", big, Limits{MaxInputBytes: 1 << 10})
+	_, _, err = p.ParseRequest(context.Background(), "big", big, Request{Limits: Limits{MaxInputBytes: 1 << 10}})
 	var le *LimitError
 	if !errors.As(err, &le) || le.Kind != LimitInput {
 		t.Fatalf("err = %v, want input-bytes limit", err)
@@ -173,7 +173,7 @@ func TestParseBatchContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := p.ParseBatchContext(ctx, "batch", inputs, 4, Limits{})
+	results := p.ParseBatch(ctx, "batch", inputs, 4, Limits{})
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("cancellation drained the batch in %v, want <250ms", elapsed)
 	}
@@ -197,8 +197,8 @@ func TestConcurrentCancellationPublic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = p.ParseContext(ctx, fmt.Sprintf("g%d", g),
-				workload.Pathological(40), Limits{})
+			_, _, errs[g] = p.ParseRequest(ctx, fmt.Sprintf("g%d", g),
+				workload.Pathological(40), Request{})
 		}(g)
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -212,9 +212,9 @@ func TestConcurrentCancellationPublic(t *testing.T) {
 	}
 }
 
-// TestGovernedFacadeMatchesParse pins that the governed facade with
-// background context and zero limits is behaviourally identical to
-// Parse on a real grammar.
+// TestGovernedFacadeMatchesParse pins that a governed ParseRequest whose
+// budgets are never reached is behaviourally identical to Parse on a
+// real grammar.
 func TestGovernedFacadeMatchesParse(t *testing.T) {
 	p, err := New("json.value")
 	if err != nil {
@@ -225,11 +225,15 @@ func TestGovernedFacadeMatchesParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ParseContext(context.Background(), "doc", doc, Limits{})
+	got, _, err := p.ParseRequest(context.Background(), "doc", doc, Request{Limits: Limits{
+		MaxCallDepth:     1 << 20,
+		MaxMemoBytes:     1 << 30,
+		MaxParseDuration: time.Minute,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ValuesEqual(got, want) {
-		t.Fatal("ParseContext(background, zero limits) drifted from Parse")
+		t.Fatal("ParseRequest under unreached budgets drifted from Parse")
 	}
 }

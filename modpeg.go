@@ -11,6 +11,16 @@
 //	value, err := parser.Parse("input", "1 + 2**3")
 //	fmt.Println(modpeg.FormatValue(value))        // (Add (Num "1") (Pow ...))
 //
+// Budgets, instrumentation, and tracing ride on one call, ParseRequest,
+// whose Request carries resource limits, an event hook, and a W3C trace
+// ID; Parse is its zero-Request shorthand:
+//
+//	prof := parser.NewProfiler()
+//	value, stats, err := parser.ParseRequest(ctx, "input", src, modpeg.Request{
+//	    Limits: modpeg.Limits{MaxParseDuration: time.Second},
+//	    Hook:   prof,
+//	})
+//
 // Custom grammars come from module directories or in-memory sources:
 //
 //	parser, err := modpeg.New("my.lang",
@@ -157,7 +167,7 @@ type Profile = vm.Profile
 type ProdProfile = vm.ProdProfile
 
 // Profiler is the profiling ParseHook: install one on any number of
-// parses (Parser.NewProfiler, then ParseWithHook) and snapshot the
+// parses (Parser.NewProfiler, then Request.Hook) and snapshot the
 // aggregate with its Profile method.
 type Profiler = vm.Profiler
 
@@ -212,7 +222,7 @@ func WritePrometheus(w io.Writer, m EngineMetrics) error {
 // TraceExporter is a ParseHook streaming Chrome trace-event JSON — a
 // timeline of production spans, memo hits, and memo sheds loadable in
 // Perfetto or chrome://tracing. Create one with Parser.NewTraceJSON,
-// install it with ParseWithHook, and Close it when done.
+// install it as Request.Hook, and Close it when done.
 type TraceExporter = telemetry.Trace
 
 // NewTraceJSON creates a trace-event exporter for this parser's
@@ -220,6 +230,12 @@ type TraceExporter = telemetry.Trace
 func (p *Parser) NewTraceJSON(w io.Writer) *TraceExporter {
 	return telemetry.NewTrace(p.prog, w)
 }
+
+// NewCallTrace returns a ParseHook that streams a human-readable
+// production-call trace to w — one line per production entry, exit, and
+// memo hit, indented by call depth. Install it as Request.Hook; it is
+// the grammar-debugging aid behind `modpeg parse -trace`.
+func (p *Parser) NewCallTrace(w io.Writer) ParseHook { return p.prog.NewCallTrace(w) }
 
 // Limits bounds one parse: input size, memo-table footprint, call
 // depth, and wall-clock time (see vm.Limits for the per-field
@@ -374,8 +390,16 @@ func New(top string, opts ...Option) (*Parser, error) {
 	}, nil
 }
 
+// Request carries the per-call parameters of ParseRequest: resource
+// budgets (Limits), an event hook (Hook — the call trace from
+// NewCallTrace, the profiler from NewProfiler, the Chrome-trace exporter
+// from NewTraceJSON, or your own), and a W3C trace ID (TraceID) recorded
+// as a latency-histogram exemplar. The zero value is a plain parse.
+type Request = vm.Request
+
 // Parse parses input (name labels it in diagnostics), requiring the root
-// production to consume the whole input.
+// production to consume the whole input. It is ParseRequest with a
+// background context and a zero Request, minus the statistics.
 //
 // Parse draws a pooled parse session internally, so calling it in a hot
 // loop reaches a steady state with no parser-machinery allocations. It is
@@ -386,46 +410,23 @@ func (p *Parser) Parse(name, input string) (Value, error) {
 	return v, err
 }
 
-// ParseContext is Parse under a context and resource budgets: the
-// parse stops with a typed *LimitError when ctx is canceled, a deadline
-// (ctx's or lim.MaxParseDuration's, whichever is sooner) passes, or a
-// budget in lim is exhausted. Passing context.Background() and zero
-// Limits behaves exactly like Parse, including the pooled
-// zero-allocation steady state.
-func (p *Parser) ParseContext(ctx context.Context, name, input string, lim Limits) (Value, error) {
-	v, _, err := p.prog.ParseContext(ctx, text.NewSource(name, input), lim)
-	return v, err
+// ParseRequest is Parse under ctx and the parameters in req, returning
+// the engine statistics of the run alongside the value. The parse stops
+// with a typed *LimitError when ctx is canceled, a deadline (ctx's or
+// req.Limits.MaxParseDuration's, whichever is sooner) passes, or a
+// budget in req.Limits is exhausted. req.Hook receives the run's parse
+// events; when it also implements TraceContextParseHook it hears
+// req.TraceID first. A context without deadline or cancellation and a
+// zero Request keep the pooled zero-allocation steady state.
+func (p *Parser) ParseRequest(ctx context.Context, name, input string, req Request) (Value, ParseStats, error) {
+	return p.prog.ParseRequest(ctx, text.NewSource(name, input), req)
 }
 
-// ParseContextWithStats is ParseContext plus the engine statistics of
-// the run — the entry point a parse service uses: pooled, governed, and
-// reporting what the parse cost.
-func (p *Parser) ParseContextWithStats(ctx context.Context, name, input string, lim Limits) (Value, ParseStats, error) {
-	return p.prog.ParseContext(ctx, text.NewSource(name, input), lim)
-}
-
-// ParseContextWithHook is ParseContext with h receiving the run's parse
-// events — governance and instrumentation on the same pooled parse.
-func (p *Parser) ParseContextWithHook(ctx context.Context, name, input string, lim Limits, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseContextWithHook(ctx, text.NewSource(name, input), lim, h)
-}
-
-// ParseContextTraced is ParseContextWithStats carrying a W3C trace ID:
-// the parse's latency observation records (trace ID, grammar label,
-// duration) as an exemplar on the histogram bucket it lands in, so
-// tail-bucket scrapes carry real trace IDs. An empty traceID makes
-// this exactly ParseContextWithStats, zero-allocation steady state
-// included.
+// ParseContextTraced is ParseRequest with limits and a trace ID. It
+// exists only because the benchmark harness (perfbench) calls it; new
+// code calls ParseRequest.
 func (p *Parser) ParseContextTraced(ctx context.Context, name, input string, lim Limits, traceID string) (Value, ParseStats, error) {
-	return p.prog.ParseContextTraced(ctx, text.NewSource(name, input), lim, traceID)
-}
-
-// ParseContextTracedWithHook is ParseContextWithHook carrying a W3C
-// trace ID; when h also implements TraceContextParseHook it receives
-// the ID before any parse event (the Chrome-trace exporter stamps its
-// timeline with it).
-func (p *Parser) ParseContextTracedWithHook(ctx context.Context, name, input string, lim Limits, traceID string, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseContextTracedWithHook(ctx, text.NewSource(name, input), lim, traceID, h)
+	return p.ParseRequest(ctx, name, input, Request{Limits: lim, TraceID: traceID})
 }
 
 // TraceContextParseHook is the optional ParseHook extension that
@@ -499,30 +500,13 @@ func (s *Session) Parse(name, input string) (Value, error) {
 	return v, err
 }
 
-// ParseWithStats is Parse plus the engine statistics of the run.
-func (s *Session) ParseWithStats(name, input string) (Value, ParseStats, error) {
-	return s.s.Parse(text.NewSource(name, input))
-}
-
-// ParseContext is Parser.ParseContext on the reusable session context,
-// returning the run's engine statistics alongside the value (a
-// memo-shedding run reports its bounded footprint in Stats.MemoBytes
-// and the shed in Stats.MemoSheds).
-func (s *Session) ParseContext(ctx context.Context, name, input string, lim Limits) (Value, ParseStats, error) {
-	return s.s.ParseContext(ctx, text.NewSource(name, input), lim)
-}
-
-// ParseWithProfile is Parse plus the engine statistics and a
-// per-production profile of the run. To aggregate across a session's
-// parses instead, install one Parser.NewProfiler via ParseWithHook.
-func (s *Session) ParseWithProfile(name, input string) (Value, ParseStats, *Profile, error) {
-	return s.s.ParseWithProfile(text.NewSource(name, input))
-}
-
-// ParseWithHook is Parse with h receiving the run's parse events. The
-// same hook may serve consecutive parses to aggregate across them.
-func (s *Session) ParseWithHook(name, input string, h ParseHook) (Value, ParseStats, error) {
-	return s.s.ParseWithHook(text.NewSource(name, input), h)
+// ParseRequest is Parser.ParseRequest on the reusable session context
+// (a memo-shedding run reports its bounded footprint in Stats.MemoBytes
+// and the shed in Stats.MemoSheds). req.Hook is installed for this parse
+// only; pass the same hook to consecutive parses to aggregate across
+// them.
+func (s *Session) ParseRequest(ctx context.Context, name, input string, req Request) (Value, ParseStats, error) {
+	return s.s.ParseRequest(ctx, text.NewSource(name, input), req)
 }
 
 // Edit describes one textual change to a Document: the OldLen bytes at
@@ -590,72 +574,30 @@ type BatchResult = vm.Result
 
 // ParseBatch parses every input concurrently across at most workers
 // goroutines (GOMAXPROCS when workers <= 0), each running its own pooled
-// parse session. The result slice is order-preserving: result[i] is the
-// outcome of inputs[i] — value, per-input statistics, and error —
-// regardless of which worker parsed it or when it finished. Input i is
-// labelled "name[i]" in diagnostics.
-func (p *Parser) ParseBatch(name string, inputs []string, workers int) []BatchResult {
+// parse session, under ctx and per-input budgets lim. The result slice
+// is order-preserving: result[i] is the outcome of inputs[i] — value,
+// per-input statistics, and error — regardless of which worker parsed it
+// or when it finished. Input i is labelled "name[i]" in diagnostics.
+// Cancellation drains the batch promptly: in-flight parses abort on
+// their next governance poll and unstarted inputs are marked with a
+// *LimitError without being parsed. Every result slot is filled either
+// way. For a profile aggregated across the batch, set SetSampling(1)
+// and read SampledProfileFor(Label()).
+func (p *Parser) ParseBatch(ctx context.Context, name string, inputs []string, workers int, lim Limits) []BatchResult {
 	srcs := make([]*text.Source, len(inputs))
 	for i, in := range inputs {
 		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
 	}
-	return p.prog.ParseAll(srcs, workers)
-}
-
-// ParseBatchContext is ParseBatch under a context and per-input
-// resource budgets: each input is parsed under lim, and cancellation
-// drains the batch promptly — in-flight parses abort on their next
-// governance poll and unstarted inputs are marked with a *LimitError
-// without being parsed. Every result slot is filled either way.
-func (p *Parser) ParseBatchContext(ctx context.Context, name string, inputs []string, workers int, lim Limits) []BatchResult {
-	srcs := make([]*text.Source, len(inputs))
-	for i, in := range inputs {
-		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
-	}
-	return p.prog.ParseAllContext(ctx, srcs, workers, lim)
+	return p.prog.ParseAll(ctx, srcs, workers, lim)
 }
 
 // BatchStats aggregates the per-input statistics of a batch.
 func BatchStats(results []BatchResult) ParseStats { return vm.TotalStats(results) }
 
-// ParseWithStats is Parse plus the engine statistics of the run.
-func (p *Parser) ParseWithStats(name, input string) (Value, ParseStats, error) {
-	return p.prog.Parse(text.NewSource(name, input))
-}
-
-// ParseWithProfile is Parse plus the engine statistics and a
-// per-production profile of the run. Profiling reads the clock on every
-// production entry and exit; use Parse when the numbers aren't wanted.
-func (p *Parser) ParseWithProfile(name, input string) (Value, ParseStats, *Profile, error) {
-	return p.prog.ParseWithProfile(text.NewSource(name, input))
-}
-
-// ParseWithHook is Parse with h receiving the run's parse events.
-func (p *Parser) ParseWithHook(name, input string, h ParseHook) (Value, ParseStats, error) {
-	return p.prog.ParseWithHook(text.NewSource(name, input), h)
-}
-
 // NewProfiler returns a reusable profiling hook for this parser's
-// productions: install it with ParseWithHook on any number of parses
-// (one goroutine at a time) and snapshot the aggregate with Profile.
+// productions: install it as Request.Hook on any number of parses (one
+// goroutine at a time) and snapshot the aggregate with Profile.
 func (p *Parser) NewProfiler() *Profiler { return p.prog.NewProfiler() }
-
-// ParseBatchProfiled is ParseBatch plus one profile aggregated across
-// all workers' parses.
-func (p *Parser) ParseBatchProfiled(name string, inputs []string, workers int) ([]BatchResult, *Profile) {
-	srcs := make([]*text.Source, len(inputs))
-	for i, in := range inputs {
-		srcs[i] = text.NewSource(fmt.Sprintf("%s[%d]", name, i), in)
-	}
-	return p.prog.ParseAllProfiled(srcs, workers)
-}
-
-// ParseWithTrace is Parse with a human-readable production-call trace
-// streamed to w — the grammar-debugging aid.
-func (p *Parser) ParseWithTrace(name, input string, w io.Writer) (Value, error) {
-	v, _, err := p.prog.ParseWithTrace(text.NewSource(name, input), w)
-	return v, err
-}
 
 // Top returns the top module name the parser was composed from.
 func (p *Parser) Top() string { return p.top }

@@ -1,8 +1,13 @@
 package modpeg
 
 import (
+	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"modpeg/internal/vm"
 )
 
 func TestNewBundledCalc(t *testing.T) {
@@ -117,7 +122,7 @@ func TestEngineAndOptimizationOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		v, stats, err := p.ParseWithStats("in", `{"a": [1, 2, {"b": null}]}`)
+		v, stats, err := p.ParseRequest(context.Background(), "in", `{"a": [1, 2, {"b": null}]}`, Request{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -213,7 +218,8 @@ func TestLintAndJSONAndTraceAPI(t *testing.T) {
 	}
 
 	var trace strings.Builder
-	if _, err := calc.ParseWithTrace("in", "1+2", &trace); err != nil {
+	if _, _, err := calc.ParseRequest(context.Background(), "in", "1+2",
+		Request{Hook: calc.NewCallTrace(&trace)}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), "memo-hit") {
@@ -229,11 +235,11 @@ func TestSessionFacade(t *testing.T) {
 	s := p.NewSession()
 	inputs := []string{"1 + 2**3", "4*5", "1 + 2**3"}
 	for _, in := range inputs {
-		want, wantStats, err := p.ParseWithStats("in", in)
+		want, wantStats, err := p.ParseRequest(context.Background(), "in", in, Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotStats, err := s.ParseWithStats("in", in)
+		got, gotStats, err := s.ParseRequest(context.Background(), "in", in, Request{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +269,7 @@ func TestParseBatchFacade(t *testing.T) {
 		`[1, 2, 3]`,
 		`"hello"`,
 	}
-	results := p.ParseBatch("doc", inputs, 0)
+	results := p.ParseBatch(context.Background(), "doc", inputs, 0, Limits{})
 	if len(results) != len(inputs) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -374,5 +380,34 @@ func TestDocumentFacade(t *testing.T) {
 	m := Metrics()
 	if m.IncrementalApplies == 0 || m.MemoEntriesReused == 0 {
 		t.Fatalf("metrics registry missed incremental activity: %+v", m)
+	}
+}
+
+// TestParseSurface is the ratchet on the parse entry points: one general
+// ParseRequest per receiver plus the shorthands listed here (13 methods
+// where there were 35). A new parameter belongs in Request, not in a new
+// Parse* method.
+func TestParseSurface(t *testing.T) {
+	want := map[reflect.Type][]string{
+		reflect.TypeFor[*vm.Program](): {"Parse", "ParseAll", "ParseContext", "ParsePrefix", "ParseRequest"},
+		reflect.TypeFor[*vm.Session](): {"Parse", "ParseRequest"},
+		reflect.TypeFor[*Parser]():     {"Parse", "ParseBatch", "ParseContextTraced", "ParseRequest"},
+		reflect.TypeFor[*Session]():    {"Parse", "ParseRequest"},
+	}
+	total := 0
+	for typ, names := range want {
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Parse") {
+				got = append(got, name)
+			}
+		}
+		total += len(got)
+		if !slices.Equal(got, names) {
+			t.Errorf("%v: Parse* methods %v, want %v", typ, got, names)
+		}
+	}
+	if total != 13 {
+		t.Errorf("%d exported Parse* methods on the four receivers, want 13", total)
 	}
 }

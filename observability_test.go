@@ -1,22 +1,25 @@
 package modpeg
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestParseWithProfileFacade checks the public profiling entry point on
-// a bundled grammar: the profile's call total must equal the engine's
-// own Stats.Calls, and the parse result must not drift from Parse.
+// TestParseWithProfileFacade checks the public profiling hook on a
+// bundled grammar: the profile's call total must equal the engine's own
+// Stats.Calls, and the parse result must not drift from Parse.
 func TestParseWithProfileFacade(t *testing.T) {
 	p, err := New("java.core")
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := "class A { int f(int x) { return x * (x + 1); } }"
-	v, stats, prof, err := p.ParseWithProfile("in", input)
+	pr := p.NewProfiler()
+	v, stats, err := p.ParseRequest(context.Background(), "in", input, Request{Hook: pr})
+	prof := pr.Profile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +38,12 @@ func TestParseWithProfileFacade(t *testing.T) {
 		t.Fatalf("malformed report:\n%s", report)
 	}
 	// Session facade agrees.
-	_, sStats, sProf, err := p.NewSession().ParseWithProfile("in", input)
+	sPr := p.NewProfiler()
+	_, sStats, err := p.NewSession().ParseRequest(context.Background(), "in", input, Request{Hook: sPr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sProf := sPr.Profile()
 	if sProf.TotalCalls() != int64(sStats.Calls) || sStats != stats {
 		t.Errorf("session profile drift: %d calls vs stats %v", sProf.TotalCalls(), sStats)
 	}
@@ -54,7 +59,7 @@ func TestProfilerHookFacade(t *testing.T) {
 	pr := p.NewProfiler()
 	var want int64
 	for _, in := range []string{"1+2**3", "4*5", "(1+2)*(3-4)"} {
-		_, st, err := p.ParseWithHook("in", in, pr)
+		_, st, err := p.ParseRequest(context.Background(), "in", in, Request{Hook: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,27 +70,47 @@ func TestProfilerHookFacade(t *testing.T) {
 	}
 }
 
-// TestParseBatchProfiledFacade cross-checks the batch profile against
-// the aggregated batch stats.
+// TestParseBatchProfiledFacade profiles a batch through sampling at
+// 1-in-1: the label's rolling profile must account for every call of the
+// batch, and the results must equal the unprofiled batch.
 func TestParseBatchProfiledFacade(t *testing.T) {
 	p, err := New("json.value")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetLabel("test/batch-profile@v1")
+	t.Cleanup(ResetSampledProfiles)
 	var inputs []string
 	for i := 0; i < 20; i++ {
 		inputs = append(inputs, fmt.Sprintf(`{"k%d": [%d, true, "v"]}`, i, i))
 	}
 	inputs = append(inputs, "not json")
-	results, prof := p.ParseBatchProfiled("doc", inputs, 4)
+	ctx := context.Background()
+	plain := p.ParseBatch(ctx, "doc", inputs, 4, Limits{})
+	p.SetSampling(1)
+	results := p.ParseBatch(ctx, "doc", inputs, 4, Limits{})
+	p.SetSampling(0)
 	if len(results) != len(inputs) {
 		t.Fatalf("results = %d", len(results))
 	}
 	if results[len(results)-1].Err == nil {
 		t.Fatal("invalid input must fail in place")
 	}
-	if got, want := prof.TotalCalls(), int64(BatchStats(results).Calls); got != want {
-		t.Errorf("batch profile calls %d, stats calls %d", got, want)
+	sp, ok := SampledProfileFor(p.Label())
+	if !ok {
+		t.Fatal("no sampled profile for the batch")
+	}
+	var calls int64
+	for _, row := range sp.Productions {
+		calls += row.Calls
+	}
+	if want := int64(BatchStats(results).Calls); calls != want {
+		t.Errorf("batch profile calls %d, stats calls %d", calls, want)
+	}
+	for i := range plain {
+		if (plain[i].Err == nil) != (results[i].Err == nil) || !ValuesEqual(plain[i].Value, results[i].Value) {
+			t.Fatalf("input %d: profiled batch drifted from the unprofiled one", i)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@
 # always-on 1-in-100 sampled profiling (amortized from the fully
 # sampled path); its derived sampling-overhead-x1000 row is ratcheted
 # at <= 1020 (2%) by bench_check.sh, and the Table 5 sampling-off row
-# extends the zero-allocation canary to the pooled traced entry point.
+# extends the zero-allocation canary to the pooled ParseRequest path.
 # The ValueEncode/java-64KB row times the /parse value encoder
 # (ast.AppendJSON of the 64 KB java value into a reused buffer);
 # bench_check.sh holds it at exactly 0 allocs/op. The Table4Composition

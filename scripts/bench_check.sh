@@ -28,8 +28,8 @@
 #      come from paired same-iteration timing, so they are stable where
 #      absolute ns/op is not.
 #   5. The always-on sampled-profiling gates: the Table 5
-#      sampling-off row (the serve layer's pooled traced entry point
-#      with sampling disabled) must exist and report exactly 0
+#      sampling-off row (the serve layer's pooled ParseRequest with
+#      sampling disabled and no trace ID) must exist and report exactly 0
 #      allocs/op — the sampler may not cost anything when off — and
 #      derived/sampling-overhead-x1000 must stay at or below 1020:
 #      1-in-100 sampling adds at most 2% to the end-to-end 64 KB java

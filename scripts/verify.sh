@@ -1,9 +1,12 @@
 #!/bin/sh
 # verify.sh — the repo's fast correctness gate: formatting drift, build,
-# vet, and the whole test suite. The race detector runs as its own CI
-# job (see .github/workflows/ci.yml) so this gate stays quick enough to
-# run on every change; use `go test -race ./...` directly when touching
-# the session pool, ParseAll/ParseBatchContext, or the governance layer.
+# vet, the whole test suite, and vet + tests of the nested perfbench
+# module (`go build ./...` at the root skips it, so a changed signature
+# it calls would otherwise go unnoticed). The race detector runs as its
+# own CI job (see .github/workflows/ci.yml) so this gate stays quick
+# enough to run on every change; use `go test -race ./...` directly when
+# touching the session pool, ParseAll/ParseBatch, or the governance
+# layer.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,4 +23,6 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== perfbench: go vet . && go test ."
+(cd perfbench && go vet . && go test .)
 echo "verify: OK"
