@@ -134,8 +134,9 @@ func BenchmarkTable2Ablation(b *testing.B) {
 // ---------------------------------------------------------------- Table 3
 //
 // Engine comparison on realistic corpora: plain backtracking vs naive
-// packrat vs the optimized engine, on the Java and C subsets, plus the
-// generated-code parser vs the interpreting engine on the calculator.
+// packrat vs the optimized engine and its closure-compiled lowering, on
+// the Java and C subsets, plus the generated-code parser vs the
+// interpreting engine on the calculator.
 
 func BenchmarkTable3Engines(b *testing.B) {
 	corpora := []struct {
@@ -155,30 +156,16 @@ func BenchmarkTable3Engines(b *testing.B) {
 		name  string
 		topts transform.Options
 		eopts vm.Options
-		pgo   bool // recompile with a profile of the same corpus
 	}{
-		{"backtracking", transform.Defaults(), vm.Backtracking(), false},
-		{"naive-packrat", transform.Baseline(), vm.NaivePackrat(), false},
-		{"optimized", transform.Defaults(), vm.Optimized(), false},
-		{"optimized+pgo", transform.Defaults(), vm.Optimized(), true},
+		{"backtracking", transform.Defaults(), vm.Backtracking()},
+		{"naive-packrat", transform.Baseline(), vm.NaivePackrat()},
+		{"optimized", transform.Defaults(), vm.Optimized()},
+		{"compiled", transform.Defaults(), vm.CompiledEngine()},
 	}
 	for _, c := range corpora {
 		for _, e := range engines {
 			b.Run(c.lang+"/"+e.name, func(b *testing.B) {
-				eopts := e.eopts
-				if e.pgo {
-					// Profile-guided compilation: one profiled parse of the
-					// corpus feeds the hot-production report back into Compile.
-					prog := mustProgram(b, c.top, e.topts, eopts)
-					pr := prog.NewProfiler()
-					_, _, err := prog.ParseRequest(context.Background(), text.NewSource("bench", c.input), vm.Request{Hook: pr})
-					if err != nil {
-						b.Fatal(err)
-					}
-					eopts.PGO = pr.Profile().PGO()
-				}
-				prog := mustProgram(b, c.top, e.topts, eopts)
-				benchParse(b, prog, c.input)
+				benchParse(b, mustProgram(b, c.top, e.topts, e.eopts), c.input)
 			})
 		}
 	}

@@ -1,20 +1,15 @@
 // Command modpeg is the command-line front end of the modular-PEG parser
 // toolkit: it composes module grammars, reports their statistics, checks
-// them, parses inputs, and generates standalone Go parsers.
+// them, parses and profiles inputs, generates standalone Go parsers, runs
+// the paper-reproduction experiments, and serves parsing over HTTP.
 //
-// Usage:
-//
-//	modpeg modules
-//	modpeg stats   [-d dir] <top-module>
-//	modpeg print   [-d dir] [-optimized] <top-module>
-//	modpeg check   [-d dir] <top-module>
-//	modpeg parse   [-d dir] [-indent] [-stats] [-timeout d] [-max-memo n] <top-module> [file]
-//	modpeg generate [-d dir] [-pkg name] [-o file] <top-module>
-//	modpeg serve   [-addr host:port] [-grammars a,b] [-timeout d] [...]
+// `modpeg help` lists every command with its flags; `modpeg <command> -h`
+// prints one command's synopsis, built from the flags it defines.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -98,40 +93,37 @@ commands:
   stats    [-d dir] <top>          per-module and composed grammar statistics
   print    [-d dir] [-optimized] <top>
                                    print the composed grammar
-  check    [-d dir] <top>          compose and run the static checks
-  parse    [-d dir] [-engine name] [-indent] [-stats] [-profile]
-           [-pgo profile.json] [-trace-json file] [-timeout d]
-           [-max-memo n] [-max-depth n] [-strict]
-           [-incremental -edits script] <top> [file]
+  check    [-d dir] [-lint] <top>  compose and run the static checks
+  parse    [-d dir] [-engine name] [-indent] [-json] [-stats] [-trace]
+           [-profile] [-trace-json file] [-timeout d] [-max-memo n]
+           [-max-depth n] [-strict] [-incremental -edits script] <top> [file]
                                    parse a file (or stdin) and print the AST,
                                    optionally under resource limits, through
-                                   an incremental edit script, exporting a
-                                   Chrome trace-event file, on a selected
-                                   engine (-engine compiled runs the
-                                   closure-compiled engine), or recompiled
-                                   with profile-guided inlining (-pgo takes
-                                   the JSON written by profile -json)
+                                   an incremental edit script, with a call
+                                   trace, a profile or a Chrome trace-event
+                                   file, on a selected engine (-engine
+                                   compiled runs the closure-compiled engine)
   profile  [-d dir] [-n reps] [-top n] [-json] [-metrics] [-trace-json file]
            [-gen kb] <top> [file]
                                    profile parses of a file (or stdin, or a
                                    generated corpus) per production
-  generate [-d dir] [-pkg p] [-o file] <top>
+  generate [-d dir] [-pkg name] [-o file] <top>
                                    emit a standalone Go parser
   experiment [-kb n] [-mintime d] <table1..table5|table7..table9|table11|limits|fig1..fig3|hotprods|all>
                                    run the paper-reproduction experiments
-  serve    [-addr host:port] [-grammars a,b] [-d dir] [-timeout d] [-max-input n]
-           [-max-memo n] [-max-depth n] [-strict] [-max-body n] [-pprof] [-quiet]
-           [-registry-dir dir] [-max-tenants n]
+  serve    [-addr host:port] [-grammars a,b] [-d dir] [-engine name]
+           [-timeout d] [-max-input n] [-max-memo n] [-max-depth n] [-strict]
+           [-max-body n] [-pprof] [-quiet] [-registry-dir dir] [-max-tenants n]
+           [-sample-every n] [-slow-parse d] [-flight-records n]
                                    run the HTTP parse service: POST /parse,
                                    GET /metrics (Prometheus), /healthz, /readyz,
-                                   and the multi-tenant grammar registry
-                                   (upload, hot-swap, pin, roll back grammar
-                                   versions under /grammars)
-  loadtest [-url http://host:port] [-mode closed|open|ramp] [-workers n] [-rps r]
-           [-duration d] [-ramp-start r] [-ramp-step r] [-ramp-max r] [-step d]
-           [-slo-p99 d] [-slo-errors f] [-seed n] [-warmup d] [-no-adversarial]
-           [-tenants n] [-omit-values] [-no-scrape] [-json file] [-min-rps r]
-           [-max-p99 d]
+                                   the multi-tenant grammar registry under
+                                   /grammars, and forensics under /debug
+  loadtest [-url http://host:port] [-d dir] [-mode closed|open|ramp]
+           [-workers n] [-rps r] [-duration d] [-ramp-start r] [-ramp-step r]
+           [-ramp-max r] [-step d] [-slo-p99 d] [-slo-errors f] [-seed n]
+           [-warmup d] [-no-adversarial] [-tenants n] [-omit-values]
+           [-no-scrape] [-json file] [-min-rps r] [-max-p99 d]
                                    drive a serve endpoint (or a spawned
                                    in-process server) with mixed-grammar
                                    traffic and report latency quantiles,
@@ -139,6 +131,18 @@ commands:
                                    telemetry; -min-rps/-max-p99 gate CI
   fmt      [-w] [file...]          reformat .mpeg module files (stdin without args)
 `)
+}
+
+// usageError is a command's answer to bad arguments: its synopsis,
+// listing every flag its FlagSet defines (named by the back-quoted word
+// of the flag's help text), then the positional arguments.
+func usageError(fs *flag.FlagSet, args string) error {
+	synopsis := "usage: modpeg " + fs.Name()
+	fs.VisitAll(func(f *flag.Flag) {
+		name, _ := flag.UnquoteUsage(f) // "" for a bool flag
+		synopsis += " [" + strings.TrimSpace("-"+f.Name+" "+name) + "]"
+	})
+	return errors.New(strings.TrimSpace(synopsis + " " + args))
 }
 
 // moduleOpts builds the option list shared by all grammar-loading
@@ -171,10 +175,10 @@ func cmdModules(w io.Writer) error {
 
 func cmdStats(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return fmt.Errorf("usage: modpeg stats [-d dir] <top-module>")
+		return usageError(fs, "<top-module>")
 	}
 	top := fs.Arg(0)
 
@@ -217,11 +221,11 @@ func resolverFor(dir string) core.Resolver {
 
 func cmdPrint(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("print", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
 	optimized := fs.Bool("optimized", false, "print the optimized grammar")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return fmt.Errorf("usage: modpeg print [-d dir] [-optimized] <top-module>")
+		return usageError(fs, "<top-module>")
 	}
 	p, err := modpeg.New(fs.Arg(0), moduleOpts(*dir)...)
 	if err != nil {
@@ -237,11 +241,11 @@ func cmdPrint(args []string, w io.Writer) error {
 
 func cmdCheck(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
 	lint := fs.Bool("lint", false, "also report non-fatal grammar smells")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return fmt.Errorf("usage: modpeg check [-d dir] [-lint] <top-module>")
+		return usageError(fs, "<top-module>")
 	}
 	p, err := modpeg.New(fs.Arg(0), moduleOpts(*dir)...)
 	if err != nil {
@@ -263,42 +267,30 @@ func cmdCheck(args []string, w io.Writer) error {
 
 func cmdParse(args []string, stdin io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("parse", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
 	indent := fs.Bool("indent", false, "print the AST as an indented tree")
 	asJSON := fs.Bool("json", false, "print the AST as JSON")
 	withStats := fs.Bool("stats", false, "print engine statistics")
 	withTrace := fs.Bool("trace", false, "stream a production-call trace before the AST")
-	traceJSON := fs.String("trace-json", "", "write a Chrome trace-event (Perfetto) JSON file of the parse")
+	traceJSON := fs.String("trace-json", "", "write a Chrome trace-event (Perfetto) JSON `file` of the parse")
 	withProfile := fs.Bool("profile", false, "print the top-10 hot productions after the AST")
-	timeout := fs.Duration("timeout", 0, "abort the parse after this wall-clock duration (0 = unlimited)")
-	maxMemo := fs.Int("max-memo", 0, "memo-table budget in bytes; the engine sheds memoization past it (0 = unlimited)")
-	maxDepth := fs.Int("max-depth", 0, "production-call depth limit (0 = unlimited)")
+	timeout := fs.Duration("timeout", 0, "abort the parse after `d` of wall-clock time (0 = unlimited)")
+	maxMemo := fs.Int("max-memo", 0, "memo-table budget of `n` bytes; the engine sheds memoization past it (0 = unlimited)")
+	maxDepth := fs.Int("max-depth", 0, "production-call depth limit `n` (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail when the memo budget is hit instead of shedding memoization")
 	incremental := fs.Bool("incremental", false, "parse as an editable document and replay the -edits script incrementally")
-	editsPath := fs.String("edits", "", "edit script for -incremental: lines \"@off oldLen [\\\"text\\\"]\", blank-line-separated batches")
-	pgoPath := fs.String("pgo", "", "profile report (modpeg profile -json) enabling profile-guided inlining")
-	engine := fs.String("engine", "optimized", "parse engine: optimized, compiled, naive-packrat, or backtracking")
+	editsPath := fs.String("edits", "", "edit `script` for -incremental: lines \"@off oldLen [\\\"text\\\"]\", blank-line-separated batches")
+	engine := fs.String("engine", "optimized", "parse engine `name`: optimized, compiled, naive-packrat, or backtracking")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() < 1 || fs.NArg() > 2 {
-		return fmt.Errorf("usage: modpeg parse [-d dir] [-engine name] [-indent] [-stats] [-profile] [-pgo profile.json] [-trace-json file] [-timeout d] [-max-memo n] [-max-depth n] [-strict] [-incremental -edits script] <top-module> [file]")
+		return usageError(fs, "<top-module> [file]")
 	}
 	opts := moduleOpts(*dir)
 	e, err := modpeg.EngineByName(*engine)
 	if err != nil {
 		return err
 	}
-	if *pgoPath != "" {
-		data, rerr := os.ReadFile(*pgoPath)
-		if rerr != nil {
-			return rerr
-		}
-		pgo, perr := modpeg.LoadPGO(data)
-		if perr != nil {
-			return perr
-		}
-		e.PGO = pgo
-	}
-	if *engine != "optimized" || *pgoPath != "" {
+	if *engine != "optimized" {
 		opts = append(opts, modpeg.WithEngine(e))
 	}
 	p, err := modpeg.New(fs.Arg(0), opts...)
@@ -528,16 +520,16 @@ func parseEditScript(src string) ([][]modpeg.Edit, error) {
 // JSON encoding) whose call counts sum to the engine's Stats.Calls.
 func cmdProfile(args []string, stdin io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
-	reps := fs.Int("n", 1, "number of repeat parses to aggregate")
-	top := fs.Int("top", 0, "limit the table to the top n productions (0 = all active)")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
+	reps := fs.Int("n", 1, "aggregate `reps` repeat parses")
+	top := fs.Int("top", 0, "limit the table to the top `n` productions (0 = all active)")
 	asJSON := fs.Bool("json", false, "emit the profile as JSON")
 	withMetrics := fs.Bool("metrics", false, "also print the engine metrics registry snapshot")
-	traceJSON := fs.String("trace-json", "", "also write a Chrome trace-event (Perfetto) JSON file of the profiled parses")
-	genKB := fs.Int("gen", 0, "profile a generated synthetic corpus of this many KB instead of reading input")
+	traceJSON := fs.String("trace-json", "", "also write a Chrome trace-event (Perfetto) JSON `file` of the profiled parses")
+	genKB := fs.Int("gen", 0, "profile a generated synthetic corpus of `kb` KB instead of reading input")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() < 1 || fs.NArg() > 2 {
-		return fmt.Errorf("usage: modpeg profile [-d dir] [-n reps] [-top n] [-json] [-metrics] [-trace-json file] [-gen kb] <top-module> [file]")
+		return usageError(fs, "<top-module> [file]")
 	}
 	if *reps < 1 {
 		return fmt.Errorf("profile: -n must be at least 1")
@@ -647,12 +639,12 @@ func syntheticCorpus(top string, kb int) (string, error) {
 
 func cmdGenerate(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
-	dir := fs.String("d", "", "module directory")
-	pkg := fs.String("pkg", "parser", "generated package name")
-	out := fs.String("o", "", "output file (default stdout)")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
+	pkg := fs.String("pkg", "parser", "generated package `name`")
+	out := fs.String("o", "", "output `file` (default stdout)")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return fmt.Errorf("usage: modpeg generate [-d dir] [-pkg name] [-o file] <top-module>")
+		return usageError(fs, "<top-module>")
 	}
 	p, err := modpeg.New(fs.Arg(0), moduleOpts(*dir)...)
 	if err != nil {
@@ -674,7 +666,7 @@ func cmdFmt(args []string, stdin io.Reader, w io.Writer) error {
 	write := fs.Bool("w", false, "write the result back to the file")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("usage: modpeg fmt [-w] [file...]")
+		return usageError(fs, "[file...]")
 	}
 	if fs.NArg() == 0 {
 		data, err := io.ReadAll(stdin)
@@ -713,26 +705,26 @@ func cmdFmt(args []string, stdin io.Reader, w io.Writer) error {
 // drains in-flight requests and exits.
 func cmdServe(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", "localhost:8317", "listen address")
-	dir := fs.String("d", "", "module directory")
-	grammarList := fs.String("grammars", "", "comma-separated top modules to serve (default: all bundled)")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request parse deadline (0 = unlimited)")
-	maxInput := fs.Int("max-input", 4<<20, "per-request input-size limit in bytes (0 = unlimited)")
-	maxMemo := fs.Int("max-memo", 64<<20, "per-request memo-table budget in bytes (0 = unlimited)")
-	maxDepth := fs.Int("max-depth", 100000, "per-request production-call depth limit (0 = unlimited)")
+	addr := fs.String("addr", "localhost:8317", "listen address `host:port`")
+	dir := fs.String("d", "", "search `dir` for modules before the bundled ones")
+	grammarList := fs.String("grammars", "", "comma-separated top modules `a,b` to serve (default: all bundled)")
+	timeout := fs.Duration("timeout", 5*time.Second, "per-request parse deadline `d` (0 = unlimited)")
+	maxInput := fs.Int("max-input", 4<<20, "per-request input-size limit of `n` bytes (0 = unlimited)")
+	maxMemo := fs.Int("max-memo", 64<<20, "per-request memo-table budget of `n` bytes (0 = unlimited)")
+	maxDepth := fs.Int("max-depth", 100000, "per-request production-call depth limit `n` (0 = unlimited)")
 	strict := fs.Bool("strict", false, "fail requests that hit the memo budget instead of shedding memoization")
-	maxBody := fs.Int64("max-body", 0, "request-body cap in bytes (0 = 8 MiB)")
+	maxBody := fs.Int64("max-body", 0, "request-body cap of `n` bytes (0 = 8 MiB)")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	quiet := fs.Bool("quiet", false, "disable structured request and parse logging")
-	registryDir := fs.String("registry-dir", "", "persist uploaded grammar versions in this directory (empty = in-memory registry)")
-	engine := fs.String("engine", "optimized", "engine for bundled/module-dir grammars: optimized or compiled (registry uploads choose per grammar)")
-	maxTenants := fs.Int("max-tenants", 0, "cap on registry tenant namespaces (0 = 64)")
-	sampleEvery := fs.Int("sample-every", 0, "profile 1 in n parses of the statically served grammars (0 = off; registry tenants set their own rate per upload)")
-	slowParse := fs.Duration("slow-parse", 0, "flight-recorder latency threshold (0 = 250ms default)")
-	flightRecords := fs.Int("flight-records", 0, "flight-recorder ring capacity (0 = 256)")
+	registryDir := fs.String("registry-dir", "", "persist uploaded grammar versions in `dir` (empty = in-memory registry)")
+	engine := fs.String("engine", "optimized", "engine `name` for bundled/module-dir grammars: optimized or compiled (registry uploads choose per grammar)")
+	maxTenants := fs.Int("max-tenants", 0, "cap of `n` registry tenant namespaces (0 = 64)")
+	sampleEvery := fs.Int("sample-every", 0, "profile 1 in `n` parses of the statically served grammars (0 = off; registry tenants set their own rate per upload)")
+	slowParse := fs.Duration("slow-parse", 0, "flight-recorder latency threshold `d` (0 = 250ms default)")
+	flightRecords := fs.Int("flight-records", 0, "flight-recorder ring capacity `n` (0 = 256)")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
-		return fmt.Errorf("usage: modpeg serve [-addr host:port] [-grammars a,b] [-d dir] [-engine name] [-timeout d] [-max-input n] [-max-memo n] [-max-depth n] [-strict] [-max-body n] [-pprof] [-quiet] [-registry-dir dir] [-max-tenants n] [-sample-every n] [-slow-parse d] [-flight-records n]")
+		return usageError(fs, "")
 	}
 	served := modpeg.BundledGrammars()
 	if *grammarList != "" {
@@ -792,30 +784,30 @@ func cmdServe(args []string, stderr io.Writer) error {
 // last SLO-passing phase): a violation is a non-zero exit.
 func cmdLoadtest(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
-	url := fs.String("url", "", "serve endpoint to drive (default: spawn an in-process server)")
-	dir := fs.String("d", "", "module directory for the spawned server")
-	mode := fs.String("mode", "closed", "load mode: closed | open | ramp")
-	workers := fs.Int("workers", 8, "closed-loop workers / open-loop in-flight cap")
-	rps := fs.Float64("rps", 0, "open-loop target arrival rate (requests/s)")
-	duration := fs.Duration("duration", 10*time.Second, "phase duration")
-	rampStart := fs.Float64("ramp-start", 50, "ramp mode: first target RPS")
-	rampStep := fs.Float64("ramp-step", 50, "ramp mode: RPS increment per step")
-	rampMax := fs.Float64("ramp-max", 1000, "ramp mode: highest target RPS")
-	stepDur := fs.Duration("step", 0, "ramp mode: per-step duration (default: -duration)")
-	sloP99 := fs.Duration("slo-p99", 50*time.Millisecond, "SLO: p99 latency ceiling (0 disables)")
-	sloErr := fs.Float64("slo-errors", 0.001, "SLO: tolerated unexpected-error rate")
-	seed := fs.Int64("seed", 1, "corpus shuffle seed")
-	warmup := fs.Duration("warmup", 500*time.Millisecond, "unmeasured warmup burst (0 = none)")
+	url := fs.String("url", "", "serve endpoint `http://host:port` to drive (default: spawn an in-process server)")
+	dir := fs.String("d", "", "search `dir` for modules in the spawned server")
+	mode := fs.String("mode", "closed", "load mode: `closed|open|ramp`")
+	workers := fs.Int("workers", 8, "`n` closed-loop workers / open-loop in-flight cap")
+	rps := fs.Float64("rps", 0, "open-loop target arrival rate `r` (requests/s)")
+	duration := fs.Duration("duration", 10*time.Second, "phase duration `d`")
+	rampStart := fs.Float64("ramp-start", 50, "ramp mode: first target RPS `r`")
+	rampStep := fs.Float64("ramp-step", 50, "ramp mode: RPS increment `r` per step")
+	rampMax := fs.Float64("ramp-max", 1000, "ramp mode: highest target RPS `r`")
+	stepDur := fs.Duration("step", 0, "ramp mode: per-step duration `d` (default: -duration)")
+	sloP99 := fs.Duration("slo-p99", 50*time.Millisecond, "SLO: p99 latency ceiling `d` (0 disables)")
+	sloErr := fs.Float64("slo-errors", 0.001, "SLO: tolerated unexpected-error rate `f`")
+	seed := fs.Int64("seed", 1, "corpus shuffle seed `n`")
+	warmup := fs.Duration("warmup", 500*time.Millisecond, "unmeasured warmup burst `d` (0 = none)")
 	plain := fs.Bool("no-adversarial", false, "drop the adversarial corpus items")
-	tenants := fs.Int("tenants", 0, "mixed-tenant mode: register the corpus grammars for n tenants and spread traffic across them (needs a registry-enabled server)")
+	tenants := fs.Int("tenants", 0, "mixed-tenant mode: register the corpus grammars for `n` tenants and spread traffic across them (needs a registry-enabled server)")
 	omitValues := fs.Bool("omit-values", false, "ask the server to drop ASTs from responses (parse capacity, not transfer capacity)")
 	noScrape := fs.Bool("no-scrape", false, "skip the /metrics correlation scrapes")
-	jsonOut := fs.String("json", "", "write the LOADTEST.json artifact to this file")
-	minRPS := fs.Float64("min-rps", 0, "gate: fail if the gate phase achieved less RPS")
-	maxP99 := fs.Duration("max-p99", 0, "gate: fail if the gate phase p99 exceeds this")
+	jsonOut := fs.String("json", "", "write the LOADTEST.json artifact to `file`")
+	minRPS := fs.Float64("min-rps", 0, "gate: fail if the gate phase achieved less than `r` RPS")
+	maxP99 := fs.Duration("max-p99", 0, "gate: fail if the gate phase p99 exceeds `d`")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
-		return fmt.Errorf("usage: modpeg loadtest [-url http://host:port] [-d dir] [-mode closed|open|ramp] [-workers n] [-rps r] [-duration d] [-ramp-start r] [-ramp-step r] [-ramp-max r] [-step d] [-slo-p99 d] [-slo-errors f] [-seed n] [-warmup d] [-no-adversarial] [-tenants n] [-omit-values] [-no-scrape] [-json file] [-min-rps r] [-max-p99 d]")
+		return usageError(fs, "")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -930,11 +922,11 @@ func cmdLoadtest(args []string, stdout, stderr io.Writer) error {
 
 func cmdExperiment(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
-	kb := fs.Int("kb", 40, "corpus size in KB for throughput experiments")
-	minTime := fs.Duration("mintime", 300*time.Millisecond, "measurement window per configuration")
+	kb := fs.Int("kb", 40, "corpus size of `n` KB for throughput experiments")
+	minTime := fs.Duration("mintime", 300*time.Millisecond, "measurement window `d` per configuration")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		return fmt.Errorf("usage: modpeg experiment [-kb n] [-mintime d] <table1..table5|table7..table9|table11|limits|fig1..fig3|hotprods|all>")
+		return usageError(fs, "<table1..table5|table7..table9|table11|limits|fig1..fig3|hotprods|all>")
 	}
 	opts := experiments.Options{InputKB: *kb, MinTime: *minTime}
 	if fs.Arg(0) == "all" {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 func runCmd(t *testing.T, stdin string, args ...string) (string, string, int) {
@@ -28,6 +30,40 @@ func TestUsageAndUnknown(t *testing.T) {
 	out, _, code := runCmd(t, "", "help")
 	if code != 0 || !strings.Contains(out, "modules") {
 		t.Fatalf("help: code=%d", code)
+	}
+}
+
+// TestUsageListsEveryFlag holds `modpeg help` to the flags each command
+// defines: every flag in `modpeg <cmd> -h`'s usage error (its FlagSet)
+// must appear as a whole token in that command's block of usage().
+func TestUsageListsEveryFlag(t *testing.T) {
+	var help bytes.Buffer
+	usage(&help)
+	blocks := map[string]string{} // command → its lines of usage()
+	head := ""
+	for _, line := range strings.Split(help.String(), "\n") {
+		if strings.HasPrefix(line, "  ") && line[2] != ' ' {
+			head = strings.Fields(line)[0]
+		}
+		blocks[head] += line + "\n"
+	}
+	flagName := regexp.MustCompile(`\[(-[\w-]+)`)
+	for _, cmd := range []string{"stats", "print", "check", "parse", "profile", "generate", "experiment", "serve", "loadtest", "fmt"} {
+		_, errb, code := runCmd(t, "", cmd, "-h")
+		if code != 1 || !strings.Contains(errb, "usage: modpeg "+cmd+" ") {
+			t.Errorf("%s -h: code=%d err=%q, want its usage error", cmd, code, errb)
+		}
+		tokens := map[string]bool{}
+		for _, tok := range strings.FieldsFunc(blocks[cmd], func(r rune) bool {
+			return unicode.IsSpace(r) || strings.ContainsRune("[](),;/", r)
+		}) {
+			tokens[tok] = true
+		}
+		for _, m := range flagName.FindAllStringSubmatch(errb, -1) {
+			if !tokens[m[1]] {
+				t.Errorf("usage() lists no %s for %s; its usage error does:\n%s", m[1], cmd, errb)
+			}
+		}
 	}
 }
 
@@ -331,34 +367,6 @@ func TestParseJSONFlag(t *testing.T) {
 	out, _, code := runCmd(t, "1+2", "parse", "-json", "calc.core")
 	if code != 0 || !strings.Contains(out, `"kind": "node"`) || !strings.Contains(out, `"name": "Add"`) {
 		t.Fatalf("json parse: code=%d out=%q", code, out)
-	}
-}
-
-func TestParsePGOFlag(t *testing.T) {
-	// Round trip: profile -json writes the report, parse -pgo feeds it
-	// back into Compile for profile-guided inlining. The AST must be
-	// unchanged; the inlined compile must still parse the corpus.
-	report, errb, code := runCmd(t, "", "profile", "-gen", "2", "-json", "calc.core")
-	if code != 0 {
-		t.Fatalf("profile: code = %d, err = %s", code, errb)
-	}
-	path := filepath.Join(t.TempDir(), "prof.json")
-	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plain, _, code := runCmd(t, "1+2*3", "parse", "calc.core")
-	if code != 0 {
-		t.Fatalf("plain parse: code = %d", code)
-	}
-	pgo, errb, code := runCmd(t, "1+2*3", "parse", "-pgo", path, "calc.core")
-	if code != 0 {
-		t.Fatalf("pgo parse: code = %d, err = %s", code, errb)
-	}
-	if pgo != plain {
-		t.Errorf("-pgo changed the AST:\n pgo:   %s\n plain: %s", pgo, plain)
-	}
-	if _, errb, code := runCmd(t, "", "parse", "-pgo", filepath.Join(t.TempDir(), "missing.json"), "calc.core"); code == 0 {
-		t.Errorf("missing -pgo file must fail, got code 0 (%s)", errb)
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 // the inner ones, so memoizing those would be dead weight (Conditional
 // retry hits LogicalOr and never re-probes the tower below it).
 //
-// The compiled engine (internal/vm) uses this set as its memo policy in
-// place of the interpreter's profile-guided inlining: it needs no
-// profile, which is what lets registry uploads compile cold.
+// The compiled engine (internal/vm) uses this set as its memo policy.
+// The set is static, derived from the grammar alone, which is what lets
+// registry uploads compile cold.
 func (a *Analysis) BacktrackPrefixes() map[string]bool {
 	// The transitive closure of the leftmost-call graph, as bitsets over
 	// production IDs. A production's closure is its whole component's:

@@ -603,9 +603,9 @@ func (a *refAnalysis) CheckTransformed() error {
 // the inner ones, so memoizing those would be dead weight (Conditional
 // retry hits LogicalOr and never re-probes the tower below it).
 //
-// The compiled engine (internal/vm) uses this set as its memo policy in
-// place of the interpreter's profile-guided inlining: it needs no
-// profile, which is what lets registry uploads compile cold.
+// The compiled engine (internal/vm) uses this set as its memo policy.
+// The set is static, derived from the grammar alone, which is what lets
+// registry uploads compile cold.
 func (a *refAnalysis) BacktrackPrefixes() map[string]bool {
 	// Transitive closure of the leftmost-call graph, per production.
 	direct := make(map[string][]string, len(a.Grammar.Order))

@@ -3,7 +3,7 @@
 // it (plus deliberately broken variants), through all four execution
 // strategies — plain backtracking is covered elsewhere; here the lanes
 // are the naive packrat baseline, the memoize-everything chunked engine,
-// the optimized engine (plus its scan-fusion-off and PGO variants), the
+// the optimized engine (plus its scan-fusion-off variant), the
 // closure-compiled engine, and the generated standalone Go parser. All
 // lanes must agree on accept/reject and produce structurally identical
 // values; lanes sharing a transform pipeline must report byte-identical
@@ -96,17 +96,12 @@ func lanesFor(t *testing.T, top string) []lane {
 	}
 	noscan := vm.Optimized()
 	noscan.ScanFusion = false
-	pgo := vm.Optimized()
-	// Static PGO (nil Calls): every small production is inlined, so the
-	// inlining fast path runs over the whole corpus, not just hot spots.
-	pgo.PGO = &vm.PGO{}
 	return []lane{
 		{"naive", mk(transform.Baseline(), vm.NaivePackrat()), false},
 		{"full-packrat", mk(transform.Defaults(),
 			vm.Options{Memoize: true, MemoEverything: true, ChunkedMemo: true, Dispatch: true}), true},
 		{"optimized", mk(transform.Defaults(), vm.Optimized()), true},
 		{"optimized-noscan", mk(transform.Defaults(), noscan), true},
-		{"optimized+pgo", mk(transform.Defaults(), pgo), true},
 		// The closure-compiled engine shares the default pipeline and
 		// the interpreter's failure-recording edges, so its diagnostics
 		// are held to byte-identical error text, not just accept/reject.
@@ -125,9 +120,9 @@ func errStr(err error) string {
 // grammar's corpus. The optimized engine is the reference: every lane
 // must match its accept/reject decision and its value; the lanes
 // compiled through the default transform pipeline (full-packrat,
-// scan-fusion-disabled, PGO-inlined) must also report byte-identical
-// errors (the naive lane uses the baseline pipeline, whose diagnostics
-// legitimately name different productions).
+// scan-fusion-disabled) must also report byte-identical errors (the
+// naive lane uses the baseline pipeline, whose diagnostics legitimately
+// name different productions).
 func TestInterpretedEnginesAgree(t *testing.T) {
 	for _, top := range grammars.TopModules() {
 		top := top

@@ -285,9 +285,6 @@ func ablationConfigs() []struct {
 		{"no-dead-code", mod(func(o *transform.Options) { o.DeadCode = false }), vm.Optimized()},
 		{"no-dispatch", all, engine(func(o *vm.Options) { o.Dispatch = false })},
 		{"no-scan-fusion", all, engine(func(o *vm.Options) { o.ScanFusion = false })},
-		// Static PGO: a nil Calls map treats every small production as
-		// hot, exercising the inlining path without a profile run.
-		{"pgo-inlining", all, engine(func(o *vm.Options) { o.PGO = &vm.PGO{} })},
 		{"map-memo (no chunks)", all, engine(func(o *vm.Options) { o.ChunkedMemo = false })},
 		{"expanded-repetitions", mod(func(o *transform.Options) { o.ExpandRepetitions = true }), vm.Optimized()},
 		{"all-off (naive packrat)", transform.Baseline(), vm.NaivePackrat()},
@@ -358,33 +355,16 @@ func Table3(opts Options) Table {
 		name  string
 		topts transform.Options
 		eopts vm.Options
-		pgo   bool // recompile with a profile of the same corpus
 	}{
-		{"backtracking", transform.Defaults(), vm.Backtracking(), false},
-		{"naive-packrat", transform.Baseline(), vm.NaivePackrat(), false},
-		{"optimized", transform.Defaults(), vm.Optimized(), false},
-		{"optimized+pgo", transform.Defaults(), vm.Optimized(), true},
+		{"backtracking", transform.Defaults(), vm.Backtracking()},
+		{"naive-packrat", transform.Baseline(), vm.NaivePackrat()},
+		{"optimized", transform.Defaults(), vm.Optimized()},
+		{"compiled", transform.Defaults(), vm.CompiledEngine()},
 	}
 	for _, c := range corpora {
 		src := text.NewSource("bench", c.input)
 		for _, e := range engines {
-			eopts := e.eopts
-			if e.pgo {
-				// One profiled parse of the corpus feeds the
-				// hot-production report back into Compile.
-				base, err := buildProgram(c.top, e.topts, eopts)
-				if err != nil {
-					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
-					continue
-				}
-				pr := base.NewProfiler()
-				if _, _, err := base.ParseRequest(context.Background(), src, vm.Request{Hook: pr}); err != nil {
-					t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
-					continue
-				}
-				eopts.PGO = pr.Profile().PGO()
-			}
-			prog, err := buildProgram(c.top, e.topts, eopts)
+			prog, err := buildProgram(c.top, e.topts, e.eopts)
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s/%s: %v", c.lang, e.name, err))
 				continue

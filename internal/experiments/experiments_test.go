@@ -48,7 +48,7 @@ func TestTable1Shapes(t *testing.T) {
 
 func TestTable2Shapes(t *testing.T) {
 	tbl := Table2(fast())
-	if len(tbl.Rows) != 11 {
+	if len(tbl.Rows) != 10 {
 		t.Fatalf("rows = %d: %v", len(tbl.Rows), tbl.Notes)
 	}
 	if cell(tbl, 0, 0) != "all-on" || cell(tbl, 0, 2) != "1.00x" {

@@ -247,7 +247,7 @@ func alwaysSucceeds(s *peg.Seq) bool {
 // paper's key observation), and those cheaper to re-parse than to probe.
 // `memo` pins a production; text/void lexical workhorses referenced from
 // many sites stay memoized.
-func markTransient(g *peg.Grammar, rep *Report, costLimit int) {
+func markTransient(g *peg.Grammar, rep *Report) {
 	a := analysis.Analyze(g)
 	for _, name := range g.Order {
 		p := g.Prods[name]
@@ -255,7 +255,7 @@ func markTransient(g *peg.Grammar, rep *Report, costLimit int) {
 			continue
 		}
 		single := a.RefCount[name] <= 1
-		cheap := a.Cost[name] <= costLimit && !a.Recursive[name]
+		cheap := a.Cost[name] <= transientCost && !a.Recursive[name]
 		if single || cheap {
 			p.Attrs |= peg.AttrTransient
 			rep.MarkedTransient++

@@ -49,23 +49,20 @@ type Options struct {
 	// it conflicts with nothing but costs time and memo space.
 	ExpandRepetitions bool
 	Inline            bool
-	// InlineCostLimit bounds the body cost of productions considered for
-	// inlining (analysis.ExprCost units). Zero means DefaultInlineCost.
-	InlineCostLimit int
-	FoldPrefixes    bool
-	MergeClasses    bool
-	DeadCode        bool
-	MarkTransient   bool
-	// TransientCostLimit bounds the body cost under which re-parsing is
-	// considered cheaper than memoizing. Zero means DefaultTransientCost.
-	TransientCostLimit int
+	FoldPrefixes      bool
+	MergeClasses      bool
+	DeadCode          bool
+	MarkTransient     bool
 }
 
-// DefaultInlineCost is the default inlining body-cost bound.
-const DefaultInlineCost = 12
-
-// DefaultTransientCost is the default cheaper-to-reparse bound.
-const DefaultTransientCost = 6
+const (
+	// inlineCost bounds the body cost (analysis.ExprCost units) of the
+	// productions Inline considers.
+	inlineCost = 12
+	// transientCost is the body cost under which MarkTransient considers
+	// re-parsing cheaper than memoizing.
+	transientCost = 6
+)
 
 // Defaults returns the full optimizing pipeline.
 func Defaults() Options {
@@ -141,11 +138,7 @@ func Apply(g *peg.Grammar, opts Options) (*peg.Grammar, *Report, error) {
 		expandRepetitions(out, rep)
 	}
 	if opts.Inline {
-		limit := opts.InlineCostLimit
-		if limit == 0 {
-			limit = DefaultInlineCost
-		}
-		inline(out, rep, limit)
+		inline(out, rep)
 	}
 	if opts.FoldPrefixes {
 		foldPrefixes(out, rep)
@@ -157,11 +150,7 @@ func Apply(g *peg.Grammar, opts Options) (*peg.Grammar, *Report, error) {
 		deadCode(out, rep)
 	}
 	if opts.MarkTransient {
-		limit := opts.TransientCostLimit
-		if limit == 0 {
-			limit = DefaultTransientCost
-		}
-		markTransient(out, rep, limit)
+		markTransient(out, rep)
 	}
 	return out, rep, nil
 }
@@ -353,7 +342,7 @@ func (x *repExpander) expandRepeat(r *peg.Repeat) peg.Expr {
 
 // inline replaces references to small, non-recursive productions with
 // their bodies.
-func inline(g *peg.Grammar, rep *Report, costLimit int) {
+func inline(g *peg.Grammar, rep *Report) {
 	// Iterate to a fixpoint but bound the rounds to keep growth in check.
 	for round := 0; round < 4; round++ {
 		a := analysis.Analyze(g)
@@ -372,7 +361,7 @@ func inline(g *peg.Grammar, rep *Report, costLimit int) {
 			if hasLeftRec(p.Choice) {
 				continue
 			}
-			if !p.Attrs.Has(peg.AttrInline) && a.Cost[name] > costLimit {
+			if !p.Attrs.Has(peg.AttrInline) && a.Cost[name] > inlineCost {
 				continue
 			}
 			candidates[name] = p

@@ -53,10 +53,6 @@ type Options struct {
 	// frame — the byte-level hot path for whitespace, identifiers, numbers,
 	// comments, and string bodies.
 	ScanFusion bool
-	// PGO, when non-nil, enables profile-guided inlining: small hot
-	// productions are compiled inline at their call sites and their memo
-	// columns are dropped. See the PGO type.
-	PGO *PGO
 	// Compiled additionally lowers the program to the closure-threaded
 	// compiled engine (compiled.go): every node becomes a specialized
 	// Go closure, eliminating the per-node interpretation dispatch.
@@ -66,39 +62,6 @@ type Options struct {
 	// identical to interpreting the same program.
 	Compiled bool
 }
-
-// PGO is the hot-production report fed to Compile for profile-guided
-// inlining. Build one from a profiler run with Profile.PGO, decode a
-// `modpeg profile -json` report with LoadPGO, or use the zero value
-// (&PGO{}) to treat every eligible production as hot (static
-// small-production inlining).
-//
-// A production is inlined when it is non-recursive, not the root, its
-// body cost (analysis.ExprCost) is at most MaxCost, and — when Calls is
-// non-nil — its observed call count is at least HotCalls. Inlined
-// productions lose their memo column: their bodies are replicated at
-// each call site (bounded by a small transitive-inline depth) and their
-// work is charged to the enclosing memoized production.
-type PGO struct {
-	// Calls maps fully qualified production names to observed call
-	// counts (the profiler's calls+memo_hits per production). nil means
-	// "no profile": every production passing the static tests is hot.
-	Calls map[string]int64
-	// HotCalls is the minimum observed call count for inlining when
-	// Calls is non-nil. Zero or negative selects the default (32).
-	HotCalls int64
-	// MaxCost is the maximum analysis.ExprCost body size for inlining.
-	// Zero or negative selects the default (48).
-	MaxCost int
-}
-
-const (
-	pgoDefaultHotCalls = 32
-	pgoDefaultMaxCost  = 48
-	// maxInlineDepth bounds transitive inlining (an inlined body whose
-	// calls are themselves inline candidates), capping code growth.
-	maxInlineDepth = 3
-)
 
 // Optimized returns the full paper engine configuration.
 func Optimized() Options {
@@ -118,12 +81,11 @@ func Backtracking() Options { return Options{} }
 // CompiledEngine returns the closure-threaded compiled engine
 // configuration: the full optimized engine lowered to specialized
 // closures at Compile time, with the memo table narrowed to the
-// statically-derived backtrack-prefix set (analysis.BacktrackPrefixes)
-// instead of the interpreter's profile-guided inlining — no profile is
-// needed, which is what lets registry uploads and `modpeg serve`
-// compile cold. This is the production fast path: the paper's
-// generated-parser speed without running the go toolchain, so it is
-// available to runtime-loaded grammars too.
+// statically-derived backtrack-prefix set (analysis.BacktrackPrefixes).
+// The policy is static, which is what lets registry uploads and
+// `modpeg serve` compile cold. This is the production fast path: the
+// paper's generated-parser speed without running the go toolchain, so
+// it is available to runtime-loaded grammars too.
 func CompiledEngine() Options {
 	o := Optimized()
 	o.Compiled = true
@@ -151,9 +113,6 @@ func (o Options) String() string {
 		}
 		if o.ScanFusion {
 			s += "+scan"
-		}
-		if o.PGO != nil {
-			s += "+pgo"
 		}
 		if o.MemoEverything {
 			s += "+memoall"
@@ -273,48 +232,20 @@ func Compile(g *peg.Grammar, opts Options) (*Program, error) {
 	p.root = root
 	p.SetLabel(defaultGrammarLabel(g.Root))
 
-	// Profile-guided inlining: decide the inline set up front, before memo
-	// columns are assigned, so inlined productions drop their columns and
-	// the chunk directory shrinks. Call sites beyond the transitive-inline
-	// depth bound still emit nCall, which then behaves as a transient call.
-	inline := map[string]bool{}
-	if pgo := opts.PGO; pgo != nil {
-		hot := pgo.HotCalls
-		if hot <= 0 {
-			hot = pgoDefaultHotCalls
-		}
-		maxCost := pgo.MaxCost
-		if maxCost <= 0 {
-			maxCost = pgoDefaultMaxCost
-		}
-		// Recursive productions are eligible too: the transitive-inline
-		// depth cap bounds the expansion, and call sites at the frontier
-		// fall back to plain (transient) calls. That matters in practice —
-		// expression precedence towers are recursive through the
-		// parenthesized-primary cycle, yet their memo columns almost never
-		// hit, making them the most profitable productions to inline.
-		for _, name := range g.Order {
-			if name == g.Root || a.Cost[name] > maxCost {
-				continue
-			}
-			if pgo.Calls != nil && pgo.Calls[name] < hot {
-				continue
-			}
-			inline[name] = true
-		}
-	}
-
-	// Memo columns are assigned hottest-first (by static reference count)
-	// so that frequently probed productions share the first chunks of
-	// every position's chunk directory — the layout half of the chunk
+	// Memo columns come from two inputs only: the transient and memo
+	// attributes the transform passes set (MemoEverything ignores
+	// transient), and, for the compiled engine, a static policy: only
+	// productions an ordered-choice retry can actually re-enter at the
+	// same position (plus the root, whose entry memo is what lets an
+	// unchanged incremental reparse return instantly) keep a column.
+	// Everything else becomes a transient closure call — the closure
+	// lowering shares one body closure per production, so this is
+	// inlining without code growth or a depth cap.
+	//
+	// Columns are assigned hottest-first (by static reference count) so
+	// that frequently probed productions share the first chunks of every
+	// position's chunk directory — the layout half of the chunk
 	// optimization.
-	// The compiled engine replaces profile-guided inlining with a static
-	// memo policy: only productions an ordered-choice retry can actually
-	// re-enter at the same position (plus the root, whose entry memo is
-	// what lets an unchanged incremental reparse return instantly) keep
-	// a column. Everything else becomes a transient closure call — the
-	// closure lowering shares one body closure per production, so this
-	// is inlining without code growth or a depth cap.
 	var keep map[string]bool
 	if opts.Compiled && opts.Memoize && !opts.MemoEverything {
 		keep = a.BacktrackPrefixes()
@@ -322,15 +253,6 @@ func Compile(g *peg.Grammar, opts Options) (*Program, error) {
 	memoized := make([]string, 0, len(g.Order))
 	for _, name := range g.Order {
 		pr := g.Prods[name]
-		// Inlined productions drop their memo column — except recursive
-		// ones, whose call sites at the transitive-inline frontier fall
-		// back to nCall. A transient frontier would re-derive the whole
-		// cycle on every backtrack (exponential on nested input, the
-		// classic unmemoized-PEG blowup); a memoized frontier caps each
-		// position's work once, so inlining stays a constant-factor win.
-		if inline[name] && !a.Recursive[name] {
-			continue
-		}
 		if !opts.Memoize || (!opts.MemoEverything && pr.Attrs.Has(peg.AttrTransient)) {
 			continue
 		}
@@ -348,7 +270,7 @@ func Compile(g *peg.Grammar, opts Options) (*Program, error) {
 	}
 	p.memoCols = len(memoized)
 
-	c := &compiler{prog: p, analysis: a, inline: inline}
+	c := &compiler{prog: p, analysis: a}
 	p.prods = make([]prodInfo, len(g.Order))
 	for i, name := range g.Order {
 		pr := g.Prods[name]
@@ -524,23 +446,6 @@ type nLeftRec struct {
 	void     bool
 }
 
-// nInline is a production body inlined at a call site by profile-guided
-// inlining. It replicates parseProd's semantics minus the memo table and
-// the event hooks: the same dispatch fast-fail, the same failure record
-// naming the production, and the same value specialization (token for
-// text productions, nil for void, span fix-up for node values). kind is
-// the production's value rule as seen from this call site — a value the
-// site discards compiles to valVoid regardless of the production's own
-// kind.
-type nInline struct {
-	body    node
-	display string
-	kind    valueKind
-	// dispatch data, mirroring prodInfo (valid when firstOK).
-	firstOK bool
-	first   analysis.ByteSet
-}
-
 func (nEmpty) isNode()      {}
 func (nLit) isNode()        {}
 func (*nClass) isNode()     {}
@@ -556,17 +461,12 @@ func (*nAnd) isNode()       {}
 func (*nNot) isNode()       {}
 func (*nCapture) isNode()   {}
 func (*nLeftRec) isNode()   {}
-func (*nInline) isNode()    {}
 
 // ------------------------------------------------------------- compiler
 
 type compiler struct {
 	prog     *Program
 	analysis *analysis.Analysis
-	// inline is the PGO inline set; inlineDepth tracks transitive
-	// inlining so code growth stays bounded (maxInlineDepth).
-	inline      map[string]bool
-	inlineDepth int
 }
 
 // compile translates e into executable form; void indicates that the value
@@ -582,12 +482,6 @@ func (c *compiler) compile(e peg.Expr, void bool) node {
 	case *peg.Any:
 		return nAny{void: void}
 	case *peg.NonTerm:
-		if c.inline[e.Name] && c.inlineDepth < maxInlineDepth {
-			c.inlineDepth++
-			n := c.inlineCall(e.Name, void)
-			c.inlineDepth--
-			return n
-		}
 		return nCall{prod: c.prog.index[e.Name]}
 	case *peg.Capture:
 		if void {
@@ -758,35 +652,6 @@ func (c *compiler) choiceTableOf(e *peg.Choice) *choiceTable {
 		}
 	}
 	return nil
-}
-
-// inlineCall compiles production name's body inline at a call site (PGO
-// inlining). void marks a site that discards the value, which degrades
-// the site's value rule to valVoid and compiles the body value-free.
-func (c *compiler) inlineCall(name string, void bool) node {
-	pr := c.analysis.Grammar.Prods[name]
-	kind := valNormal
-	switch {
-	case pr.Attrs.Has(peg.AttrText):
-		kind = valText
-	case pr.Attrs.Has(peg.AttrVoid):
-		kind = valVoid
-	}
-	bodyVoid := kind != valNormal || void
-	siteKind := kind
-	if void {
-		siteKind = valVoid
-	}
-	n := &nInline{
-		body:    c.compile(pr.Choice, bodyVoid),
-		display: displayNameOf(name),
-		kind:    siteKind,
-	}
-	n.firstOK = !c.analysis.Nullable[name] // see prodInfo.firstOK
-	if f := c.analysis.First[name]; f != nil {
-		n.first = *f
-	}
-	return n
 }
 
 func isPredicate(e peg.Expr) bool {

@@ -90,8 +90,6 @@ func calleeOrder(p *Program) []int {
 				walk(n.body)
 			case *nRepeat:
 				walk(n.body)
-			case *nInline:
-				walk(n.body)
 			case *nSeq:
 				for i := range n.items {
 					walk(n.items[i].n)
@@ -147,9 +145,9 @@ func (cc *closureCompiler) compileProd(i int) opFunc {
 		// examined-region framing either — the frame only exists to
 		// compute a memo column's lookahead watermark, and a transient
 		// invocation's extent folds into the enclosing memoized frame
-		// through note's running max exactly as nInline's does. Call
-		// accounting and the depth budget stay: governance must observe
-		// the same edges in both lowerings.
+		// through note's running max. Call accounting and the depth
+		// budget stay: governance must observe the same edges in both
+		// lowerings.
 		return func(ps *Parser, pos int) (int, ast.Value, bool) {
 			if doDispatch {
 				ps.note(pos + 1)
@@ -638,29 +636,6 @@ func (cc *closureCompiler) compileNode(n node) opFunc {
 			return 0, nil, false
 		}
 
-	case *nInline:
-		body := cc.compileNode(n.body)
-		doDispatch := cc.prog.opts.Dispatch && n.firstOK
-		first := n.first
-		display := n.display
-		kind := n.kind
-		return func(ps *Parser, pos int) (int, ast.Value, bool) {
-			if doDispatch {
-				ps.note(pos + 1)
-				if pos >= len(ps.in) || !first.Has(ps.in[pos]) {
-					ps.stats.DispatchSkips++
-					failQuick(ps, pos, display)
-					return 0, nil, false
-				}
-			}
-			end, val, ok := body(ps, pos)
-			if !ok {
-				failQuick(ps, pos, display)
-				return 0, nil, false
-			}
-			return end, fixValue(ps, kind, val, pos, end), true
-		}
-
 	case *nLeftRec:
 		seed := cc.compileNode(n.seed)
 		type cSuffix struct {
@@ -752,10 +727,6 @@ func (cc *closureCompiler) preOf(n node) suffixPre {
 		info := &cc.prog.prods[n.prod]
 		if cc.prog.opts.Dispatch && info.firstOK {
 			return suffixPre{ok: true, set: info.first, display: info.display, skip: true, note: 1}
-		}
-	case *nInline:
-		if cc.prog.opts.Dispatch && n.firstOK {
-			return suffixPre{ok: true, set: n.first, display: n.display, skip: true, note: 1}
 		}
 	}
 	return suffixPre{}

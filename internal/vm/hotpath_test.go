@@ -11,9 +11,9 @@ import (
 	"modpeg/internal/transform"
 )
 
-// The byte-level hot path (scan fusion, choice tables, PGO inlining)
-// must be invisible: same values, same errors, same positions as the
-// per-byte slow path. These tests pin each fast path against its
+// The byte-level hot path (scan fusion, choice tables, first-byte
+// dispatch) must be invisible: same values, same errors, same positions
+// as the per-byte slow path. These tests pin each fast path against its
 // disabled twin and exercise the corners the fuzzers rarely hit.
 
 func noScan() Options {
@@ -243,108 +243,5 @@ func TestWideChoiceKeepsFarthestFailure(t *testing.T) {
 		if int(pe.Pos) != want {
 			t.Fatalf("%s: error at %d, want %d: %v", opts, pe.Pos, want, err)
 		}
-	}
-}
-
-func TestPGOInliningAgrees(t *testing.T) {
-	// Static PGO (nil Calls): every small production inlines. Values,
-	// errors, and accept decisions must match the uninlined engine on
-	// the calculator, including damaged inputs.
-	pgo := Optimized()
-	pgo.PGO = &PGO{}
-	inlined := build(t, calcGrammar, pgo)
-	plain := build(t, calcGrammar, Optimized())
-	for _, in := range []string{"1 + 2*3", "(1+2)*3", "1 +", "x", "", "1 + 2)"} {
-		iv, _, ierr := inlined.Parse(text.NewSource("input", in))
-		pv, _, perr := plain.Parse(text.NewSource("input", in))
-		if (ierr == nil) != (perr == nil) {
-			t.Fatalf("%q: inlined err=%v, plain err=%v", in, ierr, perr)
-		}
-		if ierr != nil {
-			if ierr.Error() != perr.Error() {
-				t.Errorf("%q: error text diverged\n inlined: %v\n plain:   %v", in, ierr, perr)
-			}
-			continue
-		}
-		if ast.Format(iv) != ast.Format(pv) {
-			t.Errorf("%q: value diverged", in)
-		}
-	}
-}
-
-func TestPGODropsMemoColumns(t *testing.T) {
-	// Inlined productions lose their memo columns: the PGO engine must
-	// make strictly fewer memo stores on the same input.
-	pgo := Optimized()
-	pgo.PGO = &PGO{}
-	inlined := build(t, calcGrammar, pgo)
-	plain := build(t, calcGrammar, Optimized())
-	in := "1+2*3+(4*5)+6"
-	_, istats, err := inlined.Parse(text.NewSource("input", in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pstats, err := plain.Parse(text.NewSource("input", in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if istats.MemoStores >= pstats.MemoStores {
-		t.Errorf("inlined stores %d, plain %d: inlining dropped no columns",
-			istats.MemoStores, pstats.MemoStores)
-	}
-}
-
-func TestProfilePGORoundTrip(t *testing.T) {
-	// Profiler → Profile.PGO → Compile: the profile-driven
-	// inline set must parse identically, and LoadPGO must accept the
-	// JSON report and reject garbage.
-	plain := build(t, calcGrammar, Optimized())
-	src := text.NewSource("input", "1+2*3+(4*5)+6")
-	_, _, report, err := parseProfiled(plain, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Optimized()
-	opts.PGO = report.PGO()
-	guided := build(t, calcGrammar, opts)
-	v, _, err := guided.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := parse(t, plain, "1+2*3+(4*5)+6")
-	if ast.Format(v) != ast.Format(want) {
-		t.Fatalf("profile-guided value diverged: %s", ast.Format(v))
-	}
-
-	data, err := report.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPGO(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Calls == nil {
-		t.Fatal("LoadPGO dropped the calls map")
-	}
-	if _, err := LoadPGO([]byte("not json")); err == nil {
-		t.Error("LoadPGO accepted garbage")
-	}
-}
-
-func TestPGOWithholdsMemoWinners(t *testing.T) {
-	// The inline filter keeps productions whose memo column pays for
-	// itself: a high hit rate must disqualify, a cold column must not.
-	if _, ok := pgoHot("hot", 100, 0); !ok {
-		t.Error("cold-column production must be eligible")
-	}
-	if _, ok := pgoHot("cached", 100, 90); ok {
-		t.Error("production with 90% memo-hit demand must keep its column")
-	}
-	if _, ok := pgoHot("idle", 0, 0); ok {
-		t.Error("never-called production is not hot")
-	}
-	if d, ok := pgoHot("warm", 90, 10); !ok || d != 100 {
-		t.Errorf("demand = %d, %v; want 100, true", d, ok)
 	}
 }

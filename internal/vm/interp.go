@@ -1050,36 +1050,6 @@ func (ps *Parser) eval(n node, pos int) (int, ast.Value, bool) {
 		}
 		return 0, nil, false
 
-	case *nInline:
-		// A PGO-inlined production call: parseProd minus the memo table,
-		// the hooks, and the depth accounting. The dispatch fast-fail and
-		// the failure record naming the production are preserved so error
-		// reports match the memoized engine's.
-		if ps.prog.opts.Dispatch && n.firstOK {
-			ps.note(pos + 1)
-			if pos >= len(ps.in) || !n.first.Has(ps.in[pos]) {
-				ps.stats.DispatchSkips++
-				ps.fail(pos, n.display)
-				return 0, nil, false
-			}
-		}
-		end, val, ok := ps.eval(n.body, pos)
-		if !ok {
-			ps.fail(pos, n.display)
-			return 0, nil, false
-		}
-		switch n.kind {
-		case valText:
-			val = ps.values.newToken(ps.in[pos:end], text.NewSpan(text.Pos(pos), text.Pos(end)))
-		case valVoid:
-			val = nil
-		default:
-			if nd, isNode := val.(*ast.Node); isNode && nd != nil && !nd.Span.IsValid() {
-				nd.Span = text.NewSpan(text.Pos(pos), text.Pos(end))
-			}
-		}
-		return end, val, true
-
 	case *nLeftRec:
 		end, acc, ok := ps.eval(n.seed, pos)
 		if !ok {

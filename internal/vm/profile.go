@@ -242,53 +242,6 @@ func (p *Profile) JSON() ([]byte, error) {
 	}, "", "  ")
 }
 
-// pgoHot selects the productions a profile marks as inline candidates
-// and their observed demand. Two filters beyond raw heat:
-//
-//   - demand = calls + memo hits, because inlining removes the memo
-//     column and every probe that used to hit becomes a re-evaluation;
-//   - productions whose memo column actually pays — more than about a
-//     quarter of their demand answered from the table — are withheld,
-//     since trading a table probe for a body re-evaluation is a loss
-//     there. The profitable inline targets are the hot, rarely-hitting
-//     productions (lexical glue, expression precedence towers).
-func pgoHot(name string, calls, hits int64) (int64, bool) {
-	demand := calls + hits
-	if demand <= 0 || hits*3 > calls {
-		return 0, false
-	}
-	return demand, true
-}
-
-// PGO turns the profile into a hot-production report for profile-guided
-// compilation (Options.PGO).
-func (p *Profile) PGO() *PGO {
-	calls := make(map[string]int64, len(p.Prods))
-	for i := range p.Prods {
-		pp := &p.Prods[i]
-		if demand, ok := pgoHot(pp.Name, pp.Calls, pp.MemoHits); ok {
-			calls[pp.Name] = demand
-		}
-	}
-	return &PGO{Calls: calls}
-}
-
-// LoadPGO decodes a profile report (the Profile.JSON / `modpeg profile
-// -json` encoding) into a hot-production report for Options.PGO.
-func LoadPGO(data []byte) (*PGO, error) {
-	var report profileJSON
-	if err := json.Unmarshal(data, &report); err != nil {
-		return nil, fmt.Errorf("vm: decoding profile report: %w", err)
-	}
-	calls := make(map[string]int64, len(report.Productions))
-	for _, pp := range report.Productions {
-		if demand, ok := pgoHot(pp.Name, pp.Calls, pp.MemoHits); ok {
-			calls[pp.Name] = demand
-		}
-	}
-	return &PGO{Calls: calls}, nil
-}
-
 // ------------------------------------------------------------- profiler
 
 // profFrame is one entry of the profiler's shadow call stack.

@@ -145,16 +145,6 @@ func EngineNaivePackrat() EngineOptions { return vm.NaivePackrat() }
 // EngineBacktracking is plain recursive descent without memoization.
 func EngineBacktracking() EngineOptions { return vm.Backtracking() }
 
-// PGO configures profile-guided inlining (EngineOptions.PGO): small
-// productions the profile shows to be hot are expanded at their call
-// sites and their memo columns dropped. The zero value inlines every
-// small production (static PGO, no profile needed).
-type PGO = vm.PGO
-
-// LoadPGO decodes a profile report (the JSON from `modpeg profile
-// -json` or Profile.JSON) into a PGO configuration for EngineOptions.
-func LoadPGO(data []byte) (*PGO, error) { return vm.LoadPGO(data) }
-
 // ParseStats reports per-parse engine activity.
 type ParseStats = vm.Stats
 

@@ -411,3 +411,24 @@ func TestParseSurface(t *testing.T) {
 		t.Errorf("%d exported Parse* methods on the four receivers, want 13", total)
 	}
 }
+
+// TestEngineKnobs is the ratchet on the configuration surface: the
+// engine options (vm.Options) keep exactly 6 fields and the optimizer
+// options (transform.Options) exactly 8. Production picks between two
+// engine presets; a new knob has to earn its place in this list.
+func TestEngineKnobs(t *testing.T) {
+	want := map[reflect.Type][]string{
+		reflect.TypeFor[EngineOptions](): {"Memoize", "MemoEverything", "ChunkedMemo", "Dispatch", "ScanFusion", "Compiled"},
+		reflect.TypeFor[OptimizeOptions](): {"NormalizeClasses", "LeftRecursion", "ExpandRepetitions", "Inline",
+			"FoldPrefixes", "MergeClasses", "DeadCode", "MarkTransient"},
+	}
+	for typ, names := range want {
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !slices.Equal(got, names) {
+			t.Errorf("%v: fields %v, want %v", typ, got, names)
+		}
+	}
+}

@@ -6,8 +6,8 @@
 # (BENCH_17.json by default; pass a path to override). Each record maps
 # a benchmark name to ns/op, B/op, and allocs/op. The Table 3 rows pit
 # backtracking, naive packrat, the optimized byte-level engine, and the
-# profile-guided-inlining engine against each other on the same 40 KB
-# java corpus; the optimized row runs five times and records the
+# closure-compiled engine against each other on the same 40 KB java
+# corpus; the optimized row runs five times and records the
 # median, with every run's ns/op sorted in its runs_ns field, and the
 # derived java-40KB-ns-per-byte row (that median divided by the
 # 40960-byte input) is the hot-path ratchet that scripts/bench_check.sh
@@ -49,7 +49,7 @@ out="${1:-BENCH_17.json}"
 {
 	go test -run '^$' -bench 'BenchmarkTable3Compiled|BenchmarkTable5|BenchmarkTable6|BenchmarkTable7|BenchmarkTable8|BenchmarkTable9|BenchmarkValueEncode' -benchmem -benchtime 20x .
 	go test -run '^$' -bench 'BenchmarkTable4Composition/build/' -benchmem -benchtime 20x .
-	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/(backtracking|naive-packrat|optimized\+pgo)$' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/(backtracking|naive-packrat|compiled)$' -benchmem -benchtime 20x .
 	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/optimized$' -benchmem -benchtime 20x -count 5 .
 } |
 	tee /dev/stderr |

@@ -14,7 +14,7 @@
 #   3. The byte-level hot-path ratchet: derived/java-40KB-ns-per-byte
 #      (optimized engine, 40 KB java corpus, the median of five runs)
 #      must stay at or below 450 ns/byte. The seed engine measured 723
-#      ns/byte; the scan-fusion + choice-table + PGO engine measures
+#      ns/byte; the scan-fusion + choice-table engine measures
 #      ~300 on an idle machine, so 450 locks in the win while
 #      tolerating noisy CI. A single run spread over 262-513 on one
 #      machine, which is why the row is a median.
