@@ -14,21 +14,22 @@ verify:
 # Engine-comparison (40 KB java), compiled-vs-interpreter paired
 # comparison, session-residency, observability-overhead, resource-
 # governance, incremental-reparse, telemetry-overhead, and value-encode
-# benchmarks, and the java.core grammar-build rows; writes BENCH_17.json.
+# benchmarks, and the java.core grammar-build and composition rows;
+# writes BENCH_26.json.
 bench:
 	sh scripts/bench.sh
 
-# Gate a bench JSON (default BENCH_17.json): expected derived rows
+# Gate a bench JSON (default BENCH_26.json): expected derived rows
 # present, void-grammar steady state and the value encoder at exactly
 # 0 allocs/op, the java-40KB-ns-per-byte hot-path ratchet, the
 # compiled-engine speedup floors, the incremental-reparse floor, and
-# the grammar-build allocation ceiling.
+# the grammar-build and composition allocation ceilings.
 bench-check:
 	sh scripts/bench_check.sh
 
 # Old-vs-new ns/op deltas for the Table 3 engine rows.
 bench-diff:
-	sh scripts/benchdiff.sh BENCH_16.json BENCH_17.json
+	sh scripts/benchdiff.sh BENCH_17.json BENCH_26.json
 
 # Per-production profile of the bundled Java grammar on a generated
 # 40 KB workload: hot productions, memo behaviour, engine metrics.

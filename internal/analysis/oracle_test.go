@@ -1,13 +1,13 @@
 package analysis_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"modpeg/internal/analysis"
 	"modpeg/internal/core"
 	"modpeg/internal/grammars"
+	"modpeg/internal/grammartest"
 	"modpeg/internal/peg"
 	"modpeg/internal/transform"
 )
@@ -86,46 +86,6 @@ func oracleConfigs() map[string]transform.Options {
 	}
 }
 
-// oracleExtensions modify java.core, calc.full and json.value with each
-// of +=, -= and :=, the way a tenant upload does.
-var oracleExtensions = map[string]map[string]string{
-	"java": {
-		"t": "module t;\nimport java.decl;\nimport x;\noption root = java.decl.CompilationUnit;\n",
-		"x": `module x;
-modify java.stmt;
-import java.lex;
-import java.expr;
-Statement += <skip> KwSkip n:Expression? SEMI @Skip before <if> ;
-Statement -= dowhile, labeled ;
-ElseClause := KwElse s:Statement @Else / KwElif c:Expression s:Statement @Elif ;
-void KwSkip = "skip" !IdentPart Spacing ;
-void KwElif = "elif" !IdentPart Spacing ;
-void IdentPart = [a-zA-Z0-9_$] ;
-`,
-	},
-	"calc": {
-		"t": "module t;\nimport calc.core;\nimport calc.pow;\nimport calc.cmp;\nimport x;\noption root = calc.core.Program;\n",
-		"x": `module x;
-modify calc.core;
-import calc.lex;
-Sum += <mod> l:Sum PERCENT r:Prod @Mod after <sub> ;
-Prod -= div ;
-Atom := <num> Number / <neg> MINUS a:Atom @Neg / <paren> LPAREN e:Sum RPAREN ;
-void PERCENT = "%" Spacing ;
-`,
-	},
-	"json": {
-		"t": "module t;\nimport json.value;\nimport x;\noption root = json.value.Json;\n",
-		"x": `module x;
-modify json.value;
-import json.lex;
-Value += <undef> "undefined" Spacing @Undef before <null> ;
-Object -= empty ;
-Elements := head:Value tail:(COMMA v:Value)* COMMA? @Elements ;
-`,
-	},
-}
-
 // handGrammars cover what composition never produces: undefined
 // references, an undefined root, and left recursion no pass can rewrite.
 func handGrammars() map[string]*peg.Grammar {
@@ -161,7 +121,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 		composed[top] = g
 	}
-	for name, mods := range oracleExtensions {
+	for name, mods := range grammartest.Extensions {
 		g, err := core.Compose("t", core.MultiResolver{core.MapResolver(mods), grammars.Resolver()})
 		if err != nil {
 			t.Fatalf("%s extension: %v", name, err)
@@ -183,78 +143,6 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 	}
 }
 
-// fuzzGrammar decodes data into a closed grammar of at most eight
-// productions. Every reference names one of them, so self, mutual and
-// left recursion all arise; bodies mix literals, classes, predicates,
-// repetitions, nested choices and captures, under void and text
-// attributes as well as none.
-func fuzzGrammar(data []byte) *peg.Grammar {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
-	n := 1 + next()%8
-	name := func(i int) string { return fmt.Sprintf("f.P%d", i%n) }
-	var expr func(depth int) peg.Expr
-	choice := func(depth int) *peg.Choice {
-		c := &peg.Choice{}
-		for alts := 1 + next()%3; alts > 0; alts-- {
-			s := &peg.Seq{}
-			for items := 1 + next()%3; items > 0; items-- {
-				s.Items = append(s.Items, peg.Item{Expr: expr(depth + 1)})
-			}
-			c.Alts = append(c.Alts, s)
-		}
-		return c
-	}
-	expr = func(depth int) peg.Expr {
-		k := next()
-		if depth > 3 {
-			k %= 5
-		}
-		switch k % 14 {
-		case 0:
-			return peg.Lit([]string{"", "a", "b", "ab"}[next()%4])
-		case 1:
-			lo := byte('a' + next()%3)
-			if next()%2 == 0 {
-				return peg.NotClass(lo, lo+1)
-			}
-			return peg.Class(lo, lo+1)
-		case 2, 3:
-			return peg.Ref(name(next()))
-		case 4:
-			return []peg.Expr{peg.Eps(), peg.Dot()}[next()%2]
-		case 5:
-			return peg.Ahead(expr(depth + 1))
-		case 6:
-			return peg.Never(expr(depth + 1))
-		case 7:
-			return peg.Opt(expr(depth + 1))
-		case 8:
-			return peg.Star(expr(depth + 1))
-		case 9:
-			return peg.Plus(expr(depth + 1))
-		case 10, 11:
-			return choice(depth)
-		case 12:
-			return peg.Text(expr(depth + 1))
-		default:
-			return peg.SeqOf(expr(depth+1), expr(depth+1))
-		}
-	}
-	g := &peg.Grammar{Root: name(0)}
-	for i := 0; i < n; i++ {
-		attrs := []peg.Attr{0, peg.AttrVoid, peg.AttrText}[next()%3]
-		g.Add(peg.DefineProd(name(i), attrs, choice(0)))
-	}
-	return g
-}
-
 // FuzzAnalyze requires the dense-ID analysis to equal the string-keyed
 // reference on fuzzed grammars, and again after the default optimizer
 // pipeline when it accepts the grammar (which adds left-recursion
@@ -264,7 +152,7 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 1, 2, 0, 10, 1, 1, 7, 1, 1, 1, 0, 2, 1, 2, 1})
 	f.Add([]byte{7, 9, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 2, 1, 0, 3, 3, 5, 8, 13, 21})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := fuzzGrammar(data)
+		g := grammartest.Decode(data)
 		requireReference(t, "fuzzed", g)
 		if tg, _, err := transform.Apply(g, transform.Defaults()); err == nil {
 			requireReference(t, "fuzzed/defaults", tg)

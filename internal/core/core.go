@@ -51,10 +51,21 @@ import (
 )
 
 // Resolver maps module names to their sources. Implementations include
-// MapResolver (in-memory, used by the embedded grammars and tests) and
-// DirResolver (files on disk, used by the CLI).
+// MapResolver (in-memory, used by tests and uploads) and DirResolver
+// (files on disk, used by the CLI).
 type Resolver interface {
 	Resolve(name string) (*text.Source, error)
+}
+
+// A ModuleResolver is a Resolver that can also return modules it keeps
+// parsed, as the bundled grammars do. Compose uses such a module as given
+// and never modifies it, so one parse can serve every composition in the
+// process, concurrent ones included.
+type ModuleResolver interface {
+	Resolver
+	// ResolveModule returns the parsed module named name, or, when it
+	// keeps no parsed copy of it, its source as Resolve does.
+	ResolveModule(name string) (*peg.Module, *text.Source, error)
 }
 
 // MapResolver resolves module names from an in-memory map of sources.
@@ -129,41 +140,26 @@ func ComposeModules(mods []*peg.Module, top string) (*peg.Grammar, error) {
 	for _, m := range mods {
 		r[m.Name] = m
 	}
-	c := &composer{
-		resolver: r,
-		parsed:   map[string]*peg.Module{},
-		insts:    map[string]*instance{},
-		loading:  map[string]bool{},
-		grammar:  &peg.Grammar{Prods: map[string]*peg.Production{}},
-	}
-	for _, m := range mods {
-		c.parsed[m.Name] = m
-	}
-	topInst := c.load(top, nil, nil, text.NoSpan)
-	if err := c.errs.Err(); err != nil {
-		return nil, err
-	}
-	for _, inst := range c.order {
-		c.compose(inst)
-	}
-	if err := c.errs.Err(); err != nil {
-		return nil, err
-	}
-	c.resolveRoot(topInst)
-	c.check()
-	if err := c.errs.Err(); err != nil {
-		return nil, err
-	}
-	return c.grammar, nil
+	return Compose(top, r)
 }
 
-// moduleResolver adapts pre-parsed modules to the Resolver interface; it is
-// only consulted for modules missing from composer.parsed, which is an
-// error.
+// moduleResolver resolves names to pre-parsed modules.
 type moduleResolver map[string]*peg.Module
 
-func (moduleResolver) Resolve(name string) (*text.Source, error) {
-	return nil, fmt.Errorf("core: unknown module %q", name)
+func (r moduleResolver) Resolve(name string) (*text.Source, error) {
+	m, _, err := r.ResolveModule(name)
+	if err != nil {
+		return nil, err
+	}
+	return m.Source, nil
+}
+
+func (r moduleResolver) ResolveModule(name string) (*peg.Module, *text.Source, error) {
+	m, ok := r[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown module %q", name)
+	}
+	return m, nil, nil
 }
 
 // instanceKey renders the canonical key of a module instantiated with the
@@ -190,19 +186,20 @@ func (c *composer) load(name string, args []string, from *peg.Module, sp text.Sp
 
 	mod, ok := c.parsed[name]
 	if !ok {
-		src, err := c.resolver.Resolve(name)
+		m, src, err := resolveModule(c.resolver, name)
 		if err != nil {
 			c.addErr(from, sp, "cannot load module %q: %v", name, err)
 			return nil
 		}
-		m, err := syntax.Parse(src)
-		if err != nil {
-			if el, ok := err.(*text.ErrorList); ok {
-				c.errs.Merge(el)
-			} else {
-				c.addErr(from, sp, "module %q: %v", name, err)
+		if m == nil {
+			if m, err = syntax.Parse(src); err != nil {
+				if el, ok := err.(*text.ErrorList); ok {
+					c.errs.Merge(el)
+				} else {
+					c.addErr(from, sp, "module %q: %v", name, err)
+				}
+				return nil
 			}
-			return nil
 		}
 		if m.Name != name {
 			c.errs.Addf(m.Source, m.Sp, "module declares name %q but was loaded as %q", m.Name, name)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"modpeg/internal/peg"
 	"modpeg/internal/text"
 )
 
@@ -31,11 +32,30 @@ type MultiResolver []Resolver
 
 // Resolve implements Resolver.
 func (m MultiResolver) Resolve(name string) (*text.Source, error) {
+	_, src, err := m.resolve(name, false)
+	return src, err
+}
+
+// ResolveModule implements ModuleResolver: the first resolver that knows
+// name answers, with its parsed module when it keeps one, so a source
+// earlier in the list shadows a parsed module of the same name later on.
+func (m MultiResolver) ResolveModule(name string) (*peg.Module, *text.Source, error) {
+	return m.resolve(name, true)
+}
+
+func (m MultiResolver) resolve(name string, parsed bool) (*peg.Module, *text.Source, error) {
 	var firstErr error
 	for _, r := range m {
-		src, err := r.Resolve(name)
+		var mod *peg.Module
+		var src *text.Source
+		var err error
+		if parsed {
+			mod, src, err = resolveModule(r, name)
+		} else {
+			src, err = r.Resolve(name)
+		}
 		if err == nil {
-			return src, nil
+			return mod, src, nil
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -44,5 +64,15 @@ func (m MultiResolver) Resolve(name string) (*text.Source, error) {
 	if firstErr == nil {
 		firstErr = fmt.Errorf("core: unknown module %q", name)
 	}
-	return nil, firstErr
+	return nil, nil, firstErr
+}
+
+// resolveModule asks r for name's parsed module when r keeps parsed
+// modules, and for its source otherwise.
+func resolveModule(r Resolver, name string) (*peg.Module, *text.Source, error) {
+	if mr, ok := r.(ModuleResolver); ok {
+		return mr.ResolveModule(name)
+	}
+	src, err := r.Resolve(name)
+	return nil, src, err
 }

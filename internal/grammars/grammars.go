@@ -12,9 +12,11 @@ import (
 	"embed"
 	"fmt"
 	"strings"
+	"sync"
 
 	"modpeg/internal/core"
 	"modpeg/internal/peg"
+	"modpeg/internal/syntax"
 	"modpeg/internal/text"
 )
 
@@ -56,7 +58,9 @@ func ModuleNames() []string {
 // embeddedResolver resolves bundled module names.
 type embeddedResolver struct{}
 
-// Resolver returns a core.Resolver over the embedded modules.
+// Resolver returns a core.Resolver over the embedded modules. It is a
+// core.ModuleResolver: each bundled module is parsed at most once per
+// process, and every composition shares that parse.
 func Resolver() core.Resolver { return embeddedResolver{} }
 
 func (embeddedResolver) Resolve(name string) (*text.Source, error) {
@@ -65,6 +69,40 @@ func (embeddedResolver) Resolve(name string) (*text.Source, error) {
 		return nil, fmt.Errorf("grammars: unknown bundled module %q", name)
 	}
 	return text.NewSource(name+".mpeg", string(data)), nil
+}
+
+// parsedModule is one bundled module, parsed on first use.
+type parsedModule struct {
+	once sync.Once
+	mod  *peg.Module
+}
+
+// parsedModules holds an entry for every bundled module and for nothing
+// else, so the cache is bounded by the embedded sources.
+var parsedModules = sync.OnceValue(func() map[string]*parsedModule {
+	m := map[string]*parsedModule{}
+	for _, name := range ModuleNames() {
+		m[name] = &parsedModule{}
+	}
+	return m
+})
+
+// ResolveModule implements core.ModuleResolver.
+func (r embeddedResolver) ResolveModule(name string) (*peg.Module, *text.Source, error) {
+	if p := parsedModules()[name]; p != nil {
+		p.once.Do(func() {
+			// A bundled name always resolves. A module that does not
+			// parse keeps no parse and goes back as source below, so
+			// the composer reports its errors.
+			src, _ := r.Resolve(name)
+			p.mod, _ = syntax.Parse(src)
+		})
+		if p.mod != nil {
+			return p.mod, nil, nil
+		}
+	}
+	src, err := r.Resolve(name)
+	return nil, src, err
 }
 
 // Source returns the raw text of a bundled module.

@@ -6,6 +6,10 @@ import (
 
 	"modpeg/internal/analysis"
 	"modpeg/internal/ast"
+	"modpeg/internal/core"
+	"modpeg/internal/grammartest"
+	"modpeg/internal/peg"
+	"modpeg/internal/syntax"
 	"modpeg/internal/text"
 	"modpeg/internal/transform"
 	"modpeg/internal/vm"
@@ -112,6 +116,46 @@ func TestModuleNamesListsEverything(t *testing.T) {
 	}
 	if _, err := Compose("no.such.module"); err == nil {
 		t.Fatal("unknown top must error")
+	}
+}
+
+// TestResolverParsesEachModuleOnce: the resolver hands every composition
+// the same parse of a bundled module, and composing every top module (the
+// extensions included) leaves each parse equal to a fresh one.
+func TestResolverParsesEachModuleOnce(t *testing.T) {
+	r := Resolver().(core.ModuleResolver)
+	for _, top := range TopModules() {
+		if _, err := Compose(top); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, mods := range grammartest.Extensions {
+		if _, err := core.Compose("t", core.MultiResolver{core.MapResolver(mods), Resolver()}); err != nil {
+			t.Fatalf("%s extension: %v", name, err)
+		}
+	}
+	for _, name := range ModuleNames() {
+		m, src, err := r.ResolveModule(name)
+		if err != nil || m == nil || src != nil {
+			t.Fatalf("ResolveModule(%q) = %v, %v, %v; want a parsed module", name, m, src, err)
+		}
+		if again, _, _ := r.ResolveModule(name); again != m {
+			t.Errorf("%s parsed twice", name)
+		}
+		source, err := Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := syntax.ParseString(name+".mpeg", source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !peg.EqualModule(m, fresh) {
+			t.Errorf("composition modified the shared parse of %s", name)
+		}
+	}
+	if _, _, err := r.ResolveModule("no.such.module"); err == nil {
+		t.Fatal("unknown module must error")
 	}
 }
 

@@ -341,30 +341,38 @@ func (x *repExpander) expandRepeat(r *peg.Repeat) peg.Expr {
 // ----------------------------------------------------------------- inline
 
 // inline replaces references to small, non-recursive productions with
-// their bodies.
+// their bodies. Inlining these creates and breaks no cycle and keeps
+// every expression's valuedness, so one analysis serves every round; only
+// the cost moves, and it is read from the current bodies.
 func inline(g *peg.Grammar, rep *Report) {
+	a := analysis.Analyze(g)
+	var inlinable []string
+	for _, name := range g.Order {
+		p := g.Prods[name]
+		if name == g.Root || p.Choice == nil {
+			continue
+		}
+		if p.Attrs.Has(peg.AttrNoInline) || p.Attrs.Has(peg.AttrMemo) {
+			continue
+		}
+		if a.Recursive[name] || hasLeftRec(p.Choice) {
+			continue
+		}
+		// A void production produces nil. Inlining its body would expose
+		// the body's values, so only value-free bodies are inlinable.
+		if p.Attrs.Has(peg.AttrVoid) && a.ExprValued(p.Choice) {
+			continue
+		}
+		inlinable = append(inlinable, name)
+	}
 	// Iterate to a fixpoint but bound the rounds to keep growth in check.
 	for round := 0; round < 4; round++ {
-		a := analysis.Analyze(g)
 		candidates := map[string]*peg.Production{}
-		for _, name := range g.Order {
+		for _, name := range inlinable {
 			p := g.Prods[name]
-			if name == g.Root || p.Choice == nil {
-				continue
+			if p.Attrs.Has(peg.AttrInline) || analysis.ExprCost(p.Choice) <= inlineCost {
+				candidates[name] = p
 			}
-			if p.Attrs.Has(peg.AttrNoInline) || p.Attrs.Has(peg.AttrMemo) {
-				continue
-			}
-			if a.Recursive[name] {
-				continue
-			}
-			if hasLeftRec(p.Choice) {
-				continue
-			}
-			if !p.Attrs.Has(peg.AttrInline) && a.Cost[name] > inlineCost {
-				continue
-			}
-			candidates[name] = p
 		}
 		if len(candidates) == 0 {
 			return
@@ -384,13 +392,9 @@ func inline(g *peg.Grammar, rep *Report) {
 				if !ok || nt.Name == name {
 					return e
 				}
-				body, ok := inlineBody(a, target, nt)
-				if !ok {
-					return e
-				}
 				changed++
 				rep.Inlined++
-				return body
+				return inlineBody(target, nt)
 			}).(*peg.Choice)
 		}
 		if changed == 0 {
@@ -409,35 +413,30 @@ func hasLeftRec(e peg.Expr) bool {
 	return found
 }
 
-// inlineBody clones target's body in a form whose value semantics equal a
-// reference to it; ok is false when no such form exists (void productions
-// whose bodies produce values).
-func inlineBody(a *analysis.Analysis, target *peg.Production, at *peg.NonTerm) (peg.Expr, bool) {
-	body := peg.CloneExpr(target.Choice).(*peg.Choice)
-	// Inlined copies must not carry anchor labels (those are per-production).
-	for _, alt := range body.Alts {
-		alt.Label = ""
-	}
-	var e peg.Expr = body
-	if len(body.Alts) == 1 {
-		alt := body.Alts[0]
-		if alt.Ctor == "" && len(alt.Items) == 1 && alt.Items[0].Bind == "" {
-			e = alt.Items[0].Expr
-		} else if alt.Ctor == "" && !alt.HasBindings() && len(alt.Items) > 1 {
-			e = alt
-		}
-	}
+// inlineBody copies target's body in a form whose value semantics equal a
+// reference to it: a lone constructor-free alternative is inlined as its
+// only item or as its sequence, and only that part is copied.
+func inlineBody(target *peg.Production, at *peg.NonTerm) peg.Expr {
+	var e peg.Expr
+	alts := target.Choice.Alts
+	lone := len(alts) == 1 && alts[0].Ctor == ""
 	switch {
-	case target.Attrs.Has(peg.AttrText):
-		return &peg.Capture{Expr: e, Sp: at.Sp}, true
-	case target.Attrs.Has(peg.AttrVoid):
-		// A void production produces nil. Inlining its body would expose
-		// the body's values, so only value-free bodies are inlinable.
-		if a.ExprValued(e) {
-			return nil, false
-		}
-		return e, true
+	case lone && len(alts[0].Items) == 1 && alts[0].Items[0].Bind == "":
+		e = peg.CloneExpr(alts[0].Items[0].Expr)
+	case lone && !alts[0].HasBindings() && len(alts[0].Items) > 1:
+		seq := peg.CloneExpr(alts[0]).(*peg.Seq)
+		seq.Label = ""
+		e = seq
 	default:
-		return e, true
+		body := peg.CloneExpr(target.Choice).(*peg.Choice)
+		// Anchor labels are per-production.
+		for _, alt := range body.Alts {
+			alt.Label = ""
+		}
+		e = body
 	}
+	if target.Attrs.Has(peg.AttrText) {
+		return &peg.Capture{Expr: e, Sp: at.Sp}
+	}
+	return e
 }

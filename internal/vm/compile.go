@@ -476,6 +476,10 @@ func (c *compiler) compile(e peg.Expr, void bool) node {
 	case nil, *peg.Empty:
 		return nEmpty{}
 	case *peg.Literal:
+		if e.Text == "" {
+			// Matches like ε; the lowerings index a literal's first byte.
+			return nEmpty{}
+		}
 		return nLit{text: e.Text, display: fmt.Sprintf("%q", e.Text)}
 	case *peg.CharClass:
 		return &nClass{set: classSet(e), void: void}

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"modpeg/internal/ast"
+	"modpeg/internal/peg"
 	"modpeg/internal/text"
+	"modpeg/internal/transform"
 )
 
 // TestCompiledZeroAllocs is the compiled engine's allocation canary:
@@ -170,4 +172,39 @@ func TestCompiledConcurrentParseRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEmptyLiteralOnEveryEngine compiles IR holding empty literals — in a
+// sequence, as a whole alternative, and first in a left-recursion suffix
+// — for every engine, and requires them to agree with backtracking. The
+// .mpeg front end spells "" as ε, so only IR built in Go reaches this.
+func TestEmptyLiteralOnEveryEngine(t *testing.T) {
+	g := &peg.Grammar{Root: "S"}
+	g.Add(peg.DefineProd("S", 0, peg.Alt(peg.SeqOf(peg.Ref("E"), peg.Lit("")))))
+	g.Add(peg.DefineProd("E", 0, peg.Alt(
+		peg.SeqOf(peg.Ref("E"), peg.Lit(""), peg.Lit("+"), peg.Ref("T")),
+		peg.Ref("T"))))
+	g.Add(peg.DefineProd("T", peg.AttrText, peg.Alt(peg.SeqOf(peg.Lit(""), peg.Class('a', 'c')), peg.Lit(""))))
+	tg, _, err := transform.Apply(g, transform.Options{LeftRecursion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []Options{Backtracking(), NaivePackrat(), Optimized(), CompiledEngine()}
+	progs := make([]*Program, len(engines))
+	for i, opts := range engines {
+		if progs[i], err = Compile(tg, opts); err != nil {
+			t.Fatalf("%v: %v", opts, err)
+		}
+	}
+	for _, in := range []string{"", "a", "a+b", "+", "a++c", "c+", "d"} {
+		src := text.NewSource("in", in)
+		wantV, _, wantErr := progs[0].Parse(src)
+		for i, prog := range progs[1:] {
+			gotV, _, gotErr := prog.Parse(src)
+			if errStr(gotErr) != errStr(wantErr) || !ast.Equal(gotV, wantV) {
+				t.Errorf("%v on %q: %s, %q; backtracking: %s, %q",
+					engines[i+1], in, ast.Format(gotV), errStr(gotErr), ast.Format(wantV), errStr(wantErr))
+			}
+		}
+	}
 }

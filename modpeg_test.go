@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"modpeg/internal/grammars"
+	"modpeg/internal/peg"
 	"modpeg/internal/vm"
 )
 
@@ -103,6 +106,103 @@ func TestNewErrors(t *testing.T) {
 		"bad": "module bad;\npublic S = Missing ;\n",
 	})); err == nil {
 		t.Fatal("composition errors must surface")
+	}
+}
+
+// TestNewSharesBundledModules composes every bundled grammar from several
+// goroutines at once, through grammars.Compose and through New, which
+// share one parse of each bundled module. Under -race this shows the
+// shared modules are only read; every result must print as a sequential
+// composition does.
+func TestNewSharesBundledModules(t *testing.T) {
+	want := map[string]string{}
+	for _, top := range BundledGrammars() {
+		p, err := New(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[top] = p.Grammar()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, top := range BundledGrammars() {
+				if g, err := grammars.Compose(top); err != nil {
+					t.Error(err)
+				} else if peg.FormatGrammar(g) != want[top] {
+					t.Errorf("grammars.Compose(%q) differs from a sequential composition", top)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for _, top := range BundledGrammars() {
+				if p, err := New(top); err != nil {
+					t.Error(err)
+				} else if p.Grammar() != want[top] {
+					t.Errorf("New(%q) differs from a sequential composition", top)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestUserModuleShadowsBundled: a module given by WithModules under a
+// bundled module's name replaces it, also once the bundled module has
+// been parsed and shared, and leaves the shared parse as it was. A syntax
+// error in such a module reads as it always has.
+func TestUserModuleShadowsBundled(t *testing.T) {
+	bundled, err := New(grammars.JavaCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := grammars.Source("java.stmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := strings.Replace(src, "    <block>    Block", "    <skip>     \"skip\" SEMI @Skip\n  / <block>    Block", 1)
+	p, err := New(grammars.JavaCore, WithModules(map[string]string{"java.stmt": shadow}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const in = "class A { void f() { skip; } }"
+	for _, c := range []struct {
+		p    *Parser
+		want string
+	}{
+		{p, "(Block [(Skip)])"},
+		{bundled, `(Block [(ExprStmt (Id "skip"))])`},
+	} {
+		v, err := c.p.Parse("in", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FormatValue(v); !strings.Contains(got, c.want) {
+			t.Errorf("value = %s, want it to contain %s", got, c.want)
+		}
+	}
+	again, err := New(grammars.JavaCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Grammar() != bundled.Grammar() {
+		t.Error("composing a shadowing module changed the bundled grammar")
+	}
+
+	for _, c := range []struct{ src, want string }{
+		{"module java.stmt;\npublic Statement = ( \"x\" ;\n",
+			"java.stmt.mpeg:2:26: expected ')', found ';'\njava.stmt.mpeg:2:26: expected ')', found ';'"},
+		{"module java.other;\npublic Statement = \"x\" ;\n",
+			"java.stmt.mpeg:1:1: module declares name \"java.other\" but was loaded as \"java.stmt\"\n" +
+				"java.stmt.mpeg:1:1: module declares name \"java.other\" but was loaded as \"java.stmt\""},
+	} {
+		_, err := New(grammars.JavaCore, WithModules(map[string]string{"java.stmt": c.src}))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("error = %q, want %q", err, c.want)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 # Table 5 session-residency, Table 6 observability, Table 7
 # resource-governance, Table 8 incremental-reparse, and Table 9
 # telemetry-overhead benchmarks and record the results as JSON
-# (BENCH_17.json by default; pass a path to override). Each record maps
+# (BENCH_26.json by default; pass a path to override). Each record maps
 # a benchmark name to ns/op, B/op, and allocs/op. The Table 3 rows pit
 # backtracking, naive packrat, the optimized byte-level engine, and the
 # closure-compiled engine against each other on the same 40 KB java
@@ -41,14 +41,16 @@
 # bench_check.sh holds it at exactly 0 allocs/op. The Table4Composition
 # build rows time the grammar side of a registry upload on java.core
 # (transform.Apply with the default passes, then vm.Compile for one
-# engine); bench_check.sh holds their allocs/op under a ceiling.
+# engine), and its compose rows time core.Compose of java.core and
+# java.full over the bundled modules; bench_check.sh holds the allocs/op
+# of both build rows and of compose/base under ceilings.
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_17.json}"
+out="${1:-BENCH_26.json}"
 
 {
 	go test -run '^$' -bench 'BenchmarkTable3Compiled|BenchmarkTable5|BenchmarkTable6|BenchmarkTable7|BenchmarkTable8|BenchmarkTable9|BenchmarkValueEncode' -benchmem -benchtime 20x .
-	go test -run '^$' -bench 'BenchmarkTable4Composition/build/' -benchmem -benchtime 20x .
+	go test -run '^$' -bench 'BenchmarkTable4Composition/(build|compose)/' -benchmem -benchtime 20x .
 	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/(backtracking|naive-packrat|compiled)$' -benchmem -benchtime 20x .
 	go test -run '^$' -bench 'BenchmarkTable3Engines/size=40KB/optimized$' -benchmem -benchtime 20x -count 5 .
 } |
